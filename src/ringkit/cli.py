@@ -31,6 +31,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise DSLError(message)
 
 
+def _int_at_least(lo):
+    """argparse type: an integer no smaller than lo."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative = _int_at_least(0)
+
+
 def _build_parser() -> _ArgumentParser:
     p = _ArgumentParser(prog="ringkit", description=__doc__)
     p.add_argument("--version", action="version", version=f"ringkit {__version__}")
@@ -45,12 +63,14 @@ def _build_parser() -> _ArgumentParser:
             help="monomial order",
         )
         if levels:
-            sp.add_argument("--levels", type=int, default=5, metavar="L")
+            sp.add_argument("--levels", type=_int_at_least(2), default=5, metavar="L")
         if degree:
-            sp.add_argument("--degree-bound", type=int, default=None, metavar="D")
+            sp.add_argument(
+                "--degree-bound", type=_non_negative, default=None, metavar="D"
+            )
         if homological:
             sp.add_argument(
-                "--homological-bound", type=int, default=8, metavar="N"
+                "--homological-bound", type=_non_negative, default=8, metavar="N"
             )
 
     sp = sub.add_parser("classify", help="regular / complete intersection / other")
@@ -87,7 +107,7 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("kunz", help="regularity vs Frobenius Tor-vanishing")
     sp.add_argument("ring")
     sp.add_argument("--power", type=int, default=1)
-    sp.add_argument("--homological-bound", type=int, default=6, metavar="N")
+    sp.add_argument("--homological-bound", type=_non_negative, default=6, metavar="N")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--order", choices=["degrevlex", "deglex"], default="degrevlex")
 
@@ -96,7 +116,7 @@ def _build_parser() -> _ArgumentParser:
     )
     sp.add_argument("ring")
     sp.add_argument("--power", type=int, default=1)
-    sp.add_argument("--homological-bound", type=int, default=6, metavar="N")
+    sp.add_argument("--homological-bound", type=_non_negative, default=6, metavar="N")
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--order", choices=["degrevlex", "deglex"], default="degrevlex")
 

@@ -307,10 +307,6 @@ def quotient_basis(R: RingPresentation, degree: int):
     return cache[degree]
 
 
-def quotient_dim(R: RingPresentation, degree: int) -> int:
-    return len(quotient_basis(R, degree))
-
-
 def krull_dim(R: RingPresentation) -> int:
     """Krull dimension via independent sets of the leading-term ideal.
 

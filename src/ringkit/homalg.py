@@ -18,7 +18,7 @@ from math import gcd
 
 from . import groebner, linalg
 from .errors import ValidationError
-from .polycore import RingPresentation
+from .polycore import RingPresentation, mono_mul
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +48,27 @@ def free_strand_basis(module: GradedFreeModule, j: int):
     return out
 
 
+def _nf_times(R: RingPresentation, b, poly):
+    """Normal form of monomial(b) * poly as {standard monomial: coeff}.
+
+    The normal form is linear, so it is summed from the cached normal
+    forms of the monomials b*m over the terms c*m of poly; coefficients
+    that cancel are dropped.
+    """
+    fld = R.field
+    out = {}
+    for m, c in poly.terms.items():
+        for m2, c2 in groebner.nf_monomial(R, mono_mul(b, m)).terms.items():
+            v = fld.mul(c, c2)
+            if m2 in out:
+                v = fld.add(out[m2], v)
+                if fld.is_zero(v):
+                    del out[m2]
+                    continue
+            out[m2] = v
+    return out
+
+
 def multiply_strand_vector(module: GradedFreeModule, j: int, vec, poly):
     """Multiply a degree-j strand vector by a homogeneous polynomial.
 
@@ -63,8 +84,7 @@ def multiply_strand_vector(module: GradedFreeModule, j: int, vec, poly):
         if fld.is_zero(c):
             continue
         t, b = src[k]
-        prod = groebner.nf(R, R.ambient.monomial(b) * poly)
-        for m, cc in prod.terms.items():
+        for m, cc in _nf_times(R, b, poly).items():
             idx = tix[(t, m)]
             out[idx] = fld.add(out[idx], fld.mul(c, cc))
     return out
@@ -105,24 +125,36 @@ class GradedModuleMap:
                         f"entry ({i},{j}) is not homogeneous of degree {need}/{s}"
                     )
 
-    def strand_matrix(self, j: int):
-        """Dense matrix of the degree-j strand (rows: target basis)."""
+    def strand_columns(self, j: int):
+        """The degree-j strand as sparse columns {target index: coeff}.
+
+        Returns (columns, source basis, target basis); column k is the
+        image of source basis element k, and entries that cancel to
+        zero are left out.
+        """
         R = self.ring
-        fld = R.field
         src = free_strand_basis(self.source, j)
         tgt = free_strand_basis(self.target, j)
         tix = {lab: i for i, lab in enumerate(tgt)}
-        rows = [[fld.zero] * len(src) for _ in tgt]
-        for cidx, (t, b) in enumerate(src):
-            bmono = R.ambient.monomial(b)
+        columns = []
+        for t, b in src:
+            col = {}
             for i in range(self.target.rank):
                 p = self.entries[i][t]
                 if p.is_zero():
                     continue
-                prod = groebner.nf(R, bmono * p)
-                for m, c in prod.terms.items():
-                    r = tix[(i, m)]
-                    rows[r][cidx] = fld.add(rows[r][cidx], c)
+                for m, c in _nf_times(R, b, p).items():
+                    col[tix[(i, m)]] = c
+            columns.append(col)
+        return columns, src, tgt
+
+    def strand_matrix(self, j: int):
+        """Dense matrix of the degree-j strand (rows: target basis)."""
+        columns, src, tgt = self.strand_columns(j)
+        rows = [[self.ring.field.zero] * len(src) for _ in tgt]
+        for cidx, col in enumerate(columns):
+            for r, c in col.items():
+                rows[r][cidx] = c
         return rows, src, tgt
 
     def compose(self, other: "GradedModuleMap") -> "GradedModuleMap":
@@ -249,8 +281,8 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
             if f is None:
                 ranks[(i, j)] = 0
             else:
-                rows, _, _ = f.strand_matrix(j)
-                ranks[(i, j)] = linalg.rank(rows, fld) if rows else 0
+                columns, _, _ = f.strand_columns(j)
+                ranks[(i, j)] = linalg.sparse_rank(columns, fld)
     entries = {}
     for i in range(C.lo, C.hi + 1):
         for j in range(0, D + 1):
@@ -295,10 +327,6 @@ class PresentedModule:
                 cleaned.append((degree, col))
         self.relations = tuple(col for _, col in cleaned)
         self.relation_degrees = tuple(d for d, _ in cleaned)
-
-    @property
-    def rank_free(self) -> int:
-        return len(self.gen_degrees)
 
     def free_module(self) -> GradedFreeModule:
         return GradedFreeModule(self.ring, self.gen_degrees, self.scale)

@@ -1,9 +1,9 @@
 """Exact linear algebra over the coefficient fields.
 
-Dense routines serve the strand computations of the homological layer,
-where matrices stay small.  The sparse rank routine serves the
-simplicial layer, whose degeneracy-quotient differentials are large but
-have only a handful of entries per column.
+The sparse rank routine serves every one-shot rank: homology strands,
+Tor, and the simplicial complexes, whose columns have only a handful of
+entries each.  The dense routines serve kernels, coordinate solving and
+incremental span reduction.
 """
 
 from __future__ import annotations

@@ -97,6 +97,13 @@ class PrimeField:
         self.characteristic = p
 
     def normalize(self, value):
+        if isinstance(value, int):
+            return value % self.p
+        if isinstance(value, Fraction):
+            den = value.denominator % self.p
+            if den == 0:
+                raise ValidationError(f"{value} has no residue modulo {self.p}")
+            return value.numerator * pow(den, -1, self.p) % self.p
         return int(value) % self.p
 
     @property
@@ -328,13 +335,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {mono_deg(m) for m in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_degree(self):
-        """The common degree of all terms, or None (zero or inhomogeneous)."""
-        degs = {mono_deg(m) for m in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
 
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)

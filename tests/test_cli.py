@@ -105,6 +105,17 @@ def test_json_output_is_deterministic(capsys):
         (["ghost-trivial", "QQ[x,y]/(x*y)"], 2),
         (["koszul", "QQ[x,y]/(x*y)", "--degree-bound", "1"], 3),  # strand cut
         (["betti", "QQ[x,y]/(x*y)", "--degree-bound", "4", "--homological-bound", "8"], 3),
+        # bounds are validated before anything is computed
+        (["betti", "QQ[x,y]/(x*y)", "--homological-bound", "-1"], 1),
+        (["tor", "QQ[x,y]/(x*y)", "--homological-bound", "-1"], 1),
+        (["kunz", "F3[x,y]/(x*y)", "--homological-bound", "-1"], 1),
+        (["ghost-trivial", "F2[x]/(x^2)", "--homological-bound", "-1"], 1),
+        (["betti", "QQ[x,y]/(x*y)", "--degree-bound", "-1"], 1),
+        (["koszul", "QQ[x,y]/(x*y)", "--degree-bound", "-2"], 1),
+        (["koszul", "QQ[x,y]/(x*y)", "--degree-bound", "two"], 1),
+        (["aq", "F2[x]/(x^2)", "--levels", "1"], 1),
+        (["aq", "F2[x]/(x^2)", "--levels", "2"], 0),
+        (["betti", "QQ[x,y]/(x*y)", "--homological-bound", "0"], 0),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):

@@ -1,7 +1,7 @@
 import pytest
 
 from oracles import koszul_strand_homology
-from ringkit import parse_ring
+from ringkit import parse_poly, parse_ring
 from ringkit.errors import PreconditionError
 from ringkit.homalg import (
     homology_dims,
@@ -69,12 +69,30 @@ def test_h0_matches_quotient_dimensions():
 
 
 def test_strandwise_oracle_agreement():
-    for dsl in ["QQ[x,y]/(x*y)", "F2[x]/(x^2)", "QQ[x,y]/(x^2,x*y,y^2)"]:
+    cases = [
+        ("QQ[x,y]/(x*y)", None),
+        ("F2[x]/(x^2)", None),
+        ("QQ[x,y]/(x^2,x*y,y^2)", None),
+        # binomial quotients over both kinds of field
+        ("QQ[x,y,z]/(x^2-2*y^2,x*y,z^2)", None),
+        ("F7[x,y,z]/(x^2-2*y^2,x*y,z^2)", None),
+        ("F101[x,y,z]/(x^2-2*y^2,x*y,z^2)", None),
+        ("QQ[x,y,z]/(x^2+y*z-3*z^2)", None),
+        # multi-term entries; x*(x-y) = x^2-x*y and x*(x+y) = x^2+x*y
+        # cancel to zero in the last two quotients
+        ("QQ[x,y]/(x*y)", "x+y,y^2"),
+        ("QQ[x,y,z]/(x^2-x*y)", "x-y,z^2"),
+        ("F7[x,y,z]/(x^2+x*y)", "x+y,z^2"),
+    ]
+    for dsl, seq_text in cases:
         R = parse_ring(dsl)
-        seq = R.variable_polys()
+        if seq_text is None:
+            seq = R.variable_polys()
+        else:
+            seq = [parse_poly(s, R.ambient) for s in seq_text.split(",")]
         oracle = koszul_strand_homology(R, seq, 8)
         engine = homology_dims(koszul(R, seq).complex, 8).entries
-        assert oracle == engine
+        assert oracle == engine, dsl
 
 
 def test_regular_sequence_has_no_higher_homology():

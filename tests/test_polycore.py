@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,15 @@ def test_char2_doubling_vanishes():
     R = PolyRing(PrimeField(2), ("x", "y"))
     x, y = R.var(0), R.var(1)
     assert (x * y + x * y).is_zero()
+
+
+def test_prime_field_normalizes_fractions_by_inverting_the_denominator():
+    F3 = PrimeField(3)
+    assert F3.normalize(Fraction(1, 2)) == 2
+    assert F3.normalize(Fraction(-5, 4)) == 1
+    assert PrimeField(7).normalize(Fraction(6, 1)) == 6
+    with pytest.raises(ValidationError):
+        F3.normalize(Fraction(1, 6))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
