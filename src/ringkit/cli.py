@@ -198,6 +198,7 @@ def _cmd_aq(args, started):
         res.to_json(),
         text,
         started,
+        bool(res.flags),
     )
 
 

@@ -289,7 +289,10 @@ def quotient_basis(R: RingPresentation, degree: int):
     """Standard monomials of the given degree: the k-basis of R_degree.
 
     Monomials of the degree not divisible by any leading monomial of the
-    presentation ideal's Groebner basis, largest first.
+    presentation ideal's Groebner basis, largest first.  They form an
+    order ideal, so the candidates of degree d are the variable multiples
+    of the standard monomials of degree d-1; every lower degree is
+    cached on the way.
     """
     if degree < 0:
         return []
@@ -297,13 +300,20 @@ def quotient_basis(R: RingPresentation, degree: int):
     if degree not in cache:
         order = MonomialOrder(R.order_kind)
         lms = ring_groebner(R).leading_monomials()
-        basis = [
-            m
-            for m in monomials_of_degree(R.embdim, degree)
-            if not any(mono_divides(lm, m) for lm in lms)
-        ]
-        basis.sort(key=order.key, reverse=True)
-        cache[degree] = basis
+        units = list(monomials_of_degree(R.embdim, 1))
+        start = degree
+        while start > 0 and start - 1 not in cache:
+            start -= 1
+        for d in range(start, degree + 1):
+            if d == 0:
+                candidates = monomials_of_degree(R.embdim, 0)
+            else:
+                candidates = {mono_mul(m, e) for m in cache[d - 1] for e in units}
+            basis = [
+                m for m in candidates if not any(mono_divides(lm, m) for lm in lms)
+            ]
+            basis.sort(key=order.key, reverse=True)
+            cache[d] = basis
     return cache[degree]
 
 

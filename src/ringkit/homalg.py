@@ -48,46 +48,54 @@ def free_strand_basis(module: GradedFreeModule, j: int):
     return out
 
 
-def _nf_times(R: RingPresentation, b, poly):
-    """Normal form of monomial(b) * poly as {standard monomial: coeff}.
+def _strand_image(R: RingPresentation, parts, index):
+    """Sparse strand coordinates of a sum of products, as {index: coeff}.
 
-    The normal form is linear, so it is summed from the cached normal
-    forms of the monomials b*m over the terms c*m of poly; coefficients
-    that cancel are dropped.
+    parts holds (generator t, standard monomial b, polynomial p); each
+    adds monomial(b) * p placed at generator t, and index maps the
+    (generator, standard monomial) labels of the target strand to
+    positions.  The normal form is linear, so each product is summed
+    from the cached normal forms of the monomials b*m over the terms c*m
+    of p; terms that land on one position are added and those that
+    cancel are dropped.
     """
     fld = R.field
     out = {}
-    for m, c in poly.terms.items():
-        for m2, c2 in groebner.nf_monomial(R, mono_mul(b, m)).terms.items():
-            v = fld.mul(c, c2)
-            if m2 in out:
-                v = fld.add(out[m2], v)
-                if fld.is_zero(v):
-                    del out[m2]
-                    continue
-            out[m2] = v
+    for t, b, p in parts:
+        for m, c in p.terms.items():
+            for m2, c2 in groebner.nf_monomial(R, mono_mul(b, m)).terms.items():
+                k = index[(t, m2)]
+                v = fld.mul(c, c2)
+                if k in out:
+                    v = fld.add(out[k], v)
+                    if fld.is_zero(v):
+                        del out[k]
+                        continue
+                out[k] = v
     return out
 
 
-def multiply_strand_vector(module: GradedFreeModule, j: int, vec, poly):
-    """Multiply a degree-j strand vector by a homogeneous polynomial.
+def _dense(coords, size, field):
+    vec = [field.zero] * size
+    for k, c in coords.items():
+        vec[k] = c
+    return vec
 
-    Returns coordinates in the strand of degree j + scale*deg(poly).
+
+def multiply_strand_vector(R: RingPresentation, labels, index, vec, poly):
+    """Multiply a strand vector by a homogeneous polynomial.
+
+    labels are the (generator, standard monomial) labels of vec's
+    strand and index maps those of the target strand to positions;
+    returns the dense coordinates in the target strand.
     """
-    R = module.ring
     fld = R.field
-    src = free_strand_basis(module, j)
-    tgt = free_strand_basis(module, j + module.scale * poly.degree())
-    tix = {lab: i for i, lab in enumerate(tgt)}
-    out = [fld.zero] * len(tgt)
-    for k, c in enumerate(vec):
-        if fld.is_zero(c):
-            continue
-        t, b = src[k]
-        for m, cc in _nf_times(R, b, poly).items():
-            idx = tix[(t, m)]
-            out[idx] = fld.add(out[idx], fld.mul(c, cc))
-    return out
+    parts = [
+        (t, b, poly.scale(c))
+        for (t, b), c in zip(labels, vec)
+        if not fld.is_zero(c)
+    ]
+    return _dense(_strand_image(R, parts, index), len(index), fld)
 
 
 class GradedModuleMap:
@@ -132,20 +140,15 @@ class GradedModuleMap:
         image of source basis element k, and entries that cancel to
         zero are left out.
         """
-        R = self.ring
         src = free_strand_basis(self.source, j)
         tgt = free_strand_basis(self.target, j)
         tix = {lab: i for i, lab in enumerate(tgt)}
-        columns = []
-        for t, b in src:
-            col = {}
-            for i in range(self.target.rank):
-                p = self.entries[i][t]
-                if p.is_zero():
-                    continue
-                for m, c in _nf_times(R, b, p).items():
-                    col[tix[(i, m)]] = c
-            columns.append(col)
+        columns = [
+            _strand_image(
+                self.ring, [(i, b, row[t]) for i, row in enumerate(self.entries)], tix
+            )
+            for t, b in src
+        ]
         return columns, src, tgt
 
     def strand_matrix(self, j: int):
@@ -386,21 +389,12 @@ class ModuleStrands:
 
     def __init__(self, M: PresentedModule):
         self.M = M
-        self._free = {}
         self._strand = {}
-
-    def free_basis(self, j: int):
-        if j not in self._free:
-            self._free[j] = free_strand_basis(self.M.free_module(), j)
-        return self._free[j]
 
     def strand(self, j: int) -> "_Strand":
         if j not in self._strand:
             self._strand[j] = _Strand(self, j)
         return self._strand[j]
-
-    def dim(self, j: int) -> int:
-        return self.strand(j).dim
 
 
 class _Strand:
@@ -413,37 +407,37 @@ class _Strand:
 
     def __init__(self, parent: ModuleStrands, j: int):
         M = parent.M
-        R = M.ring
-        fld = R.field
-        self.field = fld
-        free = parent.free_basis(j)
-        self.free = free
-        self.index = {lab: i for i, lab in enumerate(free)}
-        self.reducer = linalg.SpanReducer(fld)
+        self.ring = M.ring
+        self.field = M.ring.field
+        self.free = free_strand_basis(M.free_module(), j)
+        self.index = {lab: i for i, lab in enumerate(self.free)}
+        self.reducer = linalg.SpanReducer(self.field)
         s = M.scale
         for degree, col in zip(M.relation_degrees, M.relations):
             rem = j - degree
             if rem < 0 or rem % s:
                 continue
-            for b in groebner.quotient_basis(R, rem // s):
-                vec = [fld.zero] * len(free)
-                bmono = R.ambient.monomial(b)
-                for t, p in enumerate(col):
-                    if p.is_zero():
-                        continue
-                    prod = groebner.nf(R, bmono * p)
-                    for m, c in prod.terms.items():
-                        k = self.index[(t, m)]
-                        vec[k] = fld.add(vec[k], c)
-                self.reducer.add(vec)
+            for b in groebner.quotient_basis(M.ring, rem // s):
+                self.reducer.add(self._vector([(t, b, p) for t, p in enumerate(col)]))
         pivots = set(self.reducer.rows)
-        self.coords = [i for i in range(len(free)) if i not in pivots]
+        self.coords = [i for i in range(len(self.free)) if i not in pivots]
         self.dim = len(self.coords)
+
+    def _vector(self, parts):
+        coords = _strand_image(self.ring, parts, self.index)
+        return _dense(coords, len(self.free), self.field)
 
     def project(self, vec):
         """Free-strand coordinates -> quotient coordinates."""
         red = self.reducer.reduce(vec)
         return [red[i] for i in self.coords]
+
+    def image(self, parts):
+        """Quotient coordinates of the sum of monomial(b) * p at generator t.
+
+        parts holds the (t, b, p) triples, as for _strand_image.
+        """
+        return self.project(self._vector(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +538,7 @@ def minimal_resolution(
 
     strands = ModuleStrands(M)
     ambient = R.ambient
+    variables = R.variable_polys()
 
     degrees_per_term = [list(M.gen_degrees)]
     maps = []
@@ -582,23 +577,13 @@ def minimal_resolution(
             if not K:
                 continue
             reducer = linalg.SpanReducer(fld)
-            index_tgt = {lab: i for i, lab in enumerate(free)}
             prev = kernels.get(j - s, [])
             if prev:
-                free_src = free_cache[j - s]
+                src = free_cache[j - s]
+                index = {lab: i for i, lab in enumerate(free)}
                 for v in prev:
-                    for a in range(R.embdim):
-                        xa = ambient.var(a)
-                        out = [fld.zero] * len(free)
-                        for k, c in enumerate(v):
-                            if fld.is_zero(c):
-                                continue
-                            t, b = free_src[k]
-                            prod = groebner.nf(R, ambient.monomial(b) * xa)
-                            for m, cc in prod.terms.items():
-                                idx = index_tgt[(t, m)]
-                                out[idx] = fld.add(out[idx], fld.mul(c, cc))
-                        reducer.add(out)
+                    for xa in variables:
+                        reducer.add(multiply_strand_vector(R, src, index, v, xa))
             for v in K:
                 if reducer.add(list(v)):
                     newgens.append((j, v, free))
@@ -758,50 +743,33 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
     def differential(src_basis, tgt_index):
         cols = []
         for (i, t, q, u, v) in src_basis:
-            col = {}
             st_q = strands[q].strand(u)
             rep_t, rep_b = st_q.free[st_q.coords[v]]
-            rep_mono = R.ambient.monomial(rep_b)
+            images = []  # (target label without its last coordinate, image)
             # resolution differential tensor identity
             dmap = res.complex.maps.get(i)
             if dmap is not None:
-                for t2 in range(dmap.target.rank):
-                    r = dmap.entries[t2][t]
+                for t2, row in enumerate(dmap.entries):
+                    r = row[t]
                     if r.is_zero():
                         continue
                     u2 = u + sN * r.degree()
-                    st2 = strands[q].strand(u2)
-                    prod = groebner.nf(R, rep_mono * r)
-                    vec = [fld.zero] * len(st2.free)
-                    for m, c in prod.terms.items():
-                        k = st2.index[(rep_t, m)]
-                        vec[k] = fld.add(vec[k], c)
-                    for w, c in enumerate(st2.project(vec)):
-                        if fld.is_zero(c):
-                            continue
-                        key = tgt_index.get((i - 1, t2, q, u2, w))
-                        if key is not None:
-                            col[key] = fld.add(col.get(key, fld.zero), c)
+                    img = strands[q].strand(u2).image([(rep_t, rep_b, r)])
+                    images.append(((i - 1, t2, q, u2), img))
             # identity tensor coefficient differential, sign (-1)^i
             if q >= 1:
-                mat = N.maps[q - 1]
-                sgn = fld.one if i % 2 == 0 else fld.neg(fld.one)
-                st2 = strands[q - 1].strand(u)
-                vec = [fld.zero] * len(st2.free)
-                for w in range(len(N.terms[q - 1].gen_degrees)):
-                    r = mat[w][rep_t]
-                    if r.is_zero():
-                        continue
-                    prod = groebner.nf(R, rep_mono * r)
-                    for m, c in prod.terms.items():
-                        k = st2.index[(w, m)]
-                        vec[k] = fld.add(vec[k], c)
-                for w, c in enumerate(st2.project(vec)):
-                    if fld.is_zero(c):
-                        continue
-                    key = tgt_index.get((i, t, q - 1, u, w))
-                    if key is not None:
-                        col[key] = fld.add(col.get(key, fld.zero), fld.mul(sgn, c))
+                sign = -1 if i % 2 else 1
+                parts = [
+                    (w, rep_b, row[rep_t].scale(sign))
+                    for w, row in enumerate(N.maps[q - 1])
+                ]
+                images.append(((i, t, q - 1, u), strands[q - 1].strand(u).image(parts)))
+            col = {}
+            for head, img in images:
+                for w, c in enumerate(img):
+                    key = tgt_index.get(head + (w,))
+                    if key is not None and not fld.is_zero(c):
+                        col[key] = c
             cols.append(col)
         return cols
 

@@ -130,10 +130,11 @@ def koszul_homology_annihilated(K: KoszulComplex, degree_bound=None) -> bool:
                 rows, src, _ = nxt.strand_matrix(j + 1)
                 for cidx in range(len(src)):
                     boundaries.add([row[cidx] for row in rows])
-            for a in range(R.embdim):
-                xa = R.ambient.var(a)
+            tgt = homalg.free_strand_basis(module, j + module.scale)
+            index = {lab: k for k, lab in enumerate(tgt)}
+            for xa in R.variable_polys():
                 for z in cycles:
-                    w = homalg.multiply_strand_vector(module, j, z, xa)
+                    w = homalg.multiply_strand_vector(R, basis, index, z, xa)
                     if not boundaries.contains(w):
                         return False
     return True

@@ -3,7 +3,9 @@
 The sparse rank routine serves every one-shot rank: homology strands,
 Tor, and the simplicial complexes, whose columns have only a handful of
 entries each.  The dense routines serve kernels, coordinate solving and
-incremental span reduction.
+incremental span reduction.  The dense `rank` has no caller in the
+package and is kept only because the benchmark's tracer looks it up by
+name.
 """
 
 from __future__ import annotations

@@ -729,13 +729,18 @@ class AQResult:
     levels: int
     degree_bound: int
     ring: str
+    flags: list
 
     def to_json(self):
         return {
             "ring": self.ring,
             "aq_dims": list(self.dims),
             "strands": sorted([i, j, d] for (i, j), d in self.strands.items()),
-            "truncation": {"L": self.levels, "D": self.degree_bound},
+            "truncation": {
+                "L": self.levels,
+                "D": self.degree_bound,
+                "flags": list(self.flags),
+            },
         }
 
 
@@ -770,4 +775,8 @@ def aq_dims(R: RingPresentation, L: int = 5, D: int = 10) -> AQResult:
     for i in range(0, L - 1):
         dims.append(sum(d for (h, _), d in table.items() if h == i))
     strands = {k: v for k, v in table.items() if k[0] <= L - 2}
-    return AQResult(dims, strands, L, D, R.to_dsl())
+    # AQ of a complete intersection lives in internal degrees at most the
+    # largest generator degree (and 1, for the variables)
+    certified = max(1, R.max_generator_degree())
+    flags = [f"degree-bound-below-certified:{certified}"] if D < certified else []
+    return AQResult(dims, strands, L, D, R.to_dsl(), flags)

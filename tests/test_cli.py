@@ -63,6 +63,22 @@ def test_tor_command_frobenius():
     assert report["results"]["totals"] == [2, 2, 2, 2, 2]
 
 
+def test_tor_command_frobenius_over_a_binomial_quotient():
+    # x*(x-y) has two terms that land on one strand coordinate, so a
+    # strand vector that overwrote instead of summing would show here
+    code, report = run(
+        ["tor", "F3[x,y]/(x^2-x*y)", "--with", "frobenius", "--homological-bound", "3"]
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["totals"] == [5, 4, 4, 4]
+    assert results["entries"] == [
+        [0, 0, 1], [0, 1, 2], [0, 2, 2], [1, 4, 2], [1, 5, 2],
+        [2, 7, 2], [2, 8, 2], [3, 10, 2], [3, 11, 2],
+    ]
+    assert all(dim > 0 for _, _, dim in results["entries"])
+
+
 def test_kunz_command():
     code, report = run(["kunz", "F3[x,y]/(x*y)"])
     assert code == 0
@@ -116,6 +132,11 @@ def test_json_output_is_deterministic(capsys):
         (["aq", "F2[x]/(x^2)", "--levels", "1"], 1),
         (["aq", "F2[x]/(x^2)", "--levels", "2"], 0),
         (["betti", "QQ[x,y]/(x*y)", "--homological-bound", "0"], 0),
+        # a degree bound below the largest generator degree cuts AQ classes
+        (["aq", "QQ[x,y]/(x^3,y^2)", "--levels", "4", "--degree-bound", "2"], 3),
+        (["aq", "F2[x]/(x^2)", "--levels", "3", "--degree-bound", "1"], 3),
+        (["aq", "QQ[x,y]/(x^3,y^2)", "--levels", "4", "--degree-bound", "3"], 0),
+        (["tor", "F3[x,y]/(x^2-x*y)", "--with", "frobenius", "--homological-bound", "3"], 0),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):

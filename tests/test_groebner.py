@@ -21,7 +21,13 @@ from ringkit.groebner import (
     quotient_basis,
     ring_groebner,
 )
-from ringkit.polycore import PolyRing, QQ
+from ringkit.polycore import (
+    QQ,
+    PolyRing,
+    RingPresentation,
+    mono_divides,
+    monomials_of_degree,
+)
 
 CORPUS = [
     "F2[x]/(x^2)",
@@ -152,6 +158,27 @@ def test_quotient_basis_examples():
     assert quotient_basis(R2, 3) == [(3, 0), (0, 3)]
     R3 = parse_ring("QQ[x]")
     assert quotient_basis(R3, 5) == [(5,)]
+    # against brute force over every monomial of the degree; degrees are
+    # asked out of order so both a fresh and a partly filled cache are hit
+    for dsl in [
+        "QQ[x,y,z,w]/(x*y,z*w)",
+        "F101[x,y,z,w,u]/(x*y,z*w,u^3)",
+        "F3[x,y,z]/(x^2-y*z,x*y,z^3)",
+        "QQ[x,y]/(x^2,x*y,y^2)",
+    ]:
+        R = parse_ring(dsl)
+        for kind in ("degrevlex", "deglex"):
+            Rk = RingPresentation(R.field, R.variables, R.generators, kind)
+            order = MonomialOrder(kind)
+            lms = ring_groebner(Rk).leading_monomials()
+            for d in (4, 0, 2, 7, 5):
+                brute = [
+                    m
+                    for m in monomials_of_degree(Rk.embdim, d)
+                    if not any(mono_divides(lm, m) for lm in lms)
+                ]
+                brute.sort(key=order.key, reverse=True)
+                assert quotient_basis(Rk, d) == brute, (dsl, kind, d)
 
 
 def test_krull_dim_examples():
