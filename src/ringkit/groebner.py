@@ -361,15 +361,7 @@ def minimal_generator_count(R: RingPresentation) -> int:
     fld = R.field
     total = 0
     for d in sorted({g.degree() for g in gens}):
-        monos = list(monomials_of_degree(R.embdim, d))
-        index = {m: i for i, m in enumerate(monos)}
-
-        def as_vec(p):
-            v = [fld.zero] * len(monos)
-            for m, c in p.terms.items():
-                v[index[m]] = c
-            return v
-
+        index = {m: i for i, m in enumerate(monomials_of_degree(R.embdim, d))}
         full = linalg.SpanReducer(fld)
         proper = linalg.SpanReducer(fld)
         for g in gens:
@@ -377,10 +369,11 @@ def minimal_generator_count(R: RingPresentation) -> int:
             if gd > d:
                 continue
             for b in monomials_of_degree(R.embdim, d - gd):
-                vec = as_vec(ambient.monomial(b) * g)
+                p = ambient.monomial(b) * g
+                vec = {index[m]: c for m, c in p.terms.items()}
                 full.add(vec)
                 if d - gd >= 1:
-                    proper.add(list(vec))
+                    proper.add(vec)
         total += full.rank - proper.rank
     R._cache[key] = total
     return total
@@ -399,8 +392,7 @@ def minimal_generator_count_in(R: RingPresentation, gens) -> int:
     fld = R.field
     total = 0
     for d in sorted({g.degree() for g in gens}):
-        monos = quotient_basis(R, d)
-        index = {m: i for i, m in enumerate(monos)}
+        index = {m: i for i, m in enumerate(quotient_basis(R, d))}
         full = linalg.SpanReducer(fld)
         proper = linalg.SpanReducer(fld)
         for g in gens:
@@ -409,12 +401,10 @@ def minimal_generator_count_in(R: RingPresentation, gens) -> int:
                 continue
             for b in quotient_basis(R, d - gd):
                 p = nf(R, R.ambient.monomial(b) * g)
-                vec = [fld.zero] * len(monos)
-                for m, c in p.terms.items():
-                    vec[index[m]] = c
+                vec = {index[m]: c for m, c in p.terms.items()}
                 full.add(vec)
                 if d - gd >= 1:
-                    proper.add(list(vec))
+                    proper.add(vec)
         total += full.rank - proper.rank
     return total
 

@@ -25,6 +25,13 @@ from .polycore import RingPresentation, mono_mul
 # Free modules, maps, complexes
 
 
+def _check_bounds(**bounds):
+    """Reject a negative truncation bound; None stands for the default."""
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise ValidationError(f"{name} bound must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class GradedFreeModule:
     ring: RingPresentation
@@ -75,27 +82,15 @@ def _strand_image(R: RingPresentation, parts, index):
     return out
 
 
-def _dense(coords, size, field):
-    vec = [field.zero] * size
-    for k, c in coords.items():
-        vec[k] = c
-    return vec
-
-
 def multiply_strand_vector(R: RingPresentation, labels, index, vec, poly):
-    """Multiply a strand vector by a homogeneous polynomial.
+    """Multiply a sparse strand vector by a homogeneous polynomial.
 
     labels are the (generator, standard monomial) labels of vec's
     strand and index maps those of the target strand to positions;
-    returns the dense coordinates in the target strand.
+    returns the sparse coordinates in the target strand.
     """
-    fld = R.field
-    parts = [
-        (t, b, poly.scale(c))
-        for (t, b), c in zip(labels, vec)
-        if not fld.is_zero(c)
-    ]
-    return _dense(_strand_image(R, parts, index), len(index), fld)
+    parts = [labels[k] + (poly.scale(c),) for k, c in vec.items()]
+    return _strand_image(R, parts, index)
 
 
 class GradedModuleMap:
@@ -264,6 +259,7 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
     strands are reported.  A module generator above the bound would cut
     a strand silently, so that situation is surfaced as a warning.
     """
+    _check_bounds(degree=up_to_internal)
     D = up_to_internal
     warnings = []
     for i in range(C.lo, C.hi + 1):
@@ -418,26 +414,28 @@ class _Strand:
             if rem < 0 or rem % s:
                 continue
             for b in groebner.quotient_basis(M.ring, rem // s):
-                self.reducer.add(self._vector([(t, b, p) for t, p in enumerate(col)]))
-        pivots = set(self.reducer.rows)
+                parts = [(t, b, p) for t, p in enumerate(col)]
+                self.reducer.add(_strand_image(self.ring, parts, self.index))
+        pivots = self.reducer.rows
         self.coords = [i for i in range(len(self.free)) if i not in pivots]
+        self.position = {i: v for v, i in enumerate(self.coords)}
         self.dim = len(self.coords)
 
-    def _vector(self, parts):
-        coords = _strand_image(self.ring, parts, self.index)
-        return _dense(coords, len(self.free), self.field)
-
     def project(self, vec):
-        """Free-strand coordinates -> quotient coordinates."""
-        red = self.reducer.reduce(vec)
-        return [red[i] for i in self.coords]
+        """Sparse free-strand coordinates -> sparse quotient coordinates.
+
+        The residual is zero at every pivot, so each of its entries sits
+        on a quotient coordinate.
+        """
+        pos = self.position
+        return {pos[i]: c for i, c in self.reducer.reduce(vec).items()}
 
     def image(self, parts):
         """Quotient coordinates of the sum of monomial(b) * p at generator t.
 
         parts holds the (t, b, p) triples, as for _strand_image.
         """
-        return self.project(self._vector(parts))
+        return self.project(_strand_image(self.ring, parts, self.index))
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +522,7 @@ def minimal_resolution(
     appear exactly at the degree bound: the next degree could then hold
     more.
     """
+    _check_bounds(homological=homological, degree=internal)
     N = homological
     D = default_degree_bound(M, N) if internal is None else internal
     M = minimize_presentation(M)
@@ -564,15 +563,10 @@ def minimal_resolution(
                 continue
             if step == 0:
                 st = strands.strand(j)
-                rows = [[fld.zero] * len(free) for _ in range(st.dim)]
-                for idx in range(len(free)):
-                    unit = [fld.zero] * len(free)
-                    unit[idx] = fld.one
-                    for r, c in enumerate(st.project(unit)):
-                        rows[r][idx] = c
+                columns = [st.project({idx: fld.one}) for idx in range(len(free))]
             else:
-                rows, _, _ = maps[step - 1].strand_matrix(j)
-            K = linalg.nullspace(rows, fld, ncols=len(free))
+                columns, _, _ = maps[step - 1].strand_columns(j)
+            K = linalg.nullspace(columns, fld)
             kernels[j] = K
             if not K:
                 continue
@@ -585,7 +579,7 @@ def minimal_resolution(
                     for xa in variables:
                         reducer.add(multiply_strand_vector(R, src, index, v, xa))
             for v in K:
-                if reducer.add(list(v)):
+                if reducer.add(v):
                     newgens.append((j, v, free))
 
         if not newgens:
@@ -597,9 +591,7 @@ def minimal_resolution(
         new_degrees = [j for j, _, _ in newgens]
         entries = [[ambient.zero() for _ in newgens] for _ in src_degrees]
         for cidx, (j, v, free) in enumerate(newgens):
-            for k, c in enumerate(v):
-                if fld.is_zero(c):
-                    continue
+            for k, c in v.items():
                 t, b = free[k]
                 entries[t][cidx] = entries[t][cidx] + ambient.monomial(b, c)
         tgt_mod = GradedFreeModule(R, tuple(new_degrees), s)
@@ -691,6 +683,7 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
     the upper edge of the degree window (the window may then truncate
     genuine classes).
     """
+    _check_bounds(homological=homological, degree=degree_bound)
     if isinstance(N, PresentedModule):
         N = TorCoefficients.from_module(N)
     R = M.ring
@@ -766,9 +759,9 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
                 images.append(((i, t, q - 1, u), strands[q - 1].strand(u).image(parts)))
             col = {}
             for head, img in images:
-                for w, c in enumerate(img):
+                for w, c in img.items():
                     key = tgt_index.get(head + (w,))
-                    if key is not None and not fld.is_zero(c):
+                    if key is not None:
                         col[key] = c
             cols.append(col)
         return cols

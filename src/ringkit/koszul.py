@@ -115,21 +115,17 @@ def koszul_homology_annihilated(K: KoszulComplex, degree_bound=None) -> bool:
             if not basis:
                 continue
             if dmap is None:
-                cycles = []
-                for idx in range(len(basis)):
-                    v = [fld.zero] * len(basis)
-                    v[idx] = fld.one
-                    cycles.append(v)
+                cycles = [{idx: fld.one} for idx in range(len(basis))]
             else:
-                rows, _, _ = dmap.strand_matrix(j)
-                cycles = linalg.nullspace(rows, fld, ncols=len(basis))
+                columns, _, _ = dmap.strand_columns(j)
+                cycles = linalg.nullspace(columns, fld)
             if not cycles:
                 continue
             boundaries = linalg.SpanReducer(fld)
             if nxt is not None:
-                rows, src, _ = nxt.strand_matrix(j + 1)
-                for cidx in range(len(src)):
-                    boundaries.add([row[cidx] for row in rows])
+                columns, _, _ = nxt.strand_columns(j + 1)
+                for col in columns:
+                    boundaries.add(col)
             tgt = homalg.free_strand_basis(module, j + module.scale)
             index = {lab: k for k, lab in enumerate(tgt)}
             for xa in R.variable_polys():

@@ -1,120 +1,141 @@
 """Exact linear algebra over the coefficient fields.
 
-The sparse rank routine serves every one-shot rank: homology strands,
-Tor, and the simplicial complexes, whose columns have only a handful of
-entries each.  The dense routines serve kernels, coordinate solving and
-incremental span reduction.  The dense `rank` has no caller in the
-package and is kept only because the benchmark's tracer looks it up by
-name.
+Vectors and matrix columns are sparse {index: coeff} dicts, and no
+result holds a zero entry.  One echelon engine, `SpanReducer`, serves
+every incremental span, kernel and solve: `nullspace` is built on it,
+and so are the dense adapters `rref` and `rank`, which have no caller
+in the package and are kept only because the benchmark's tracer looks
+them up by name.  `sparse_rank` is the one-shot rank of homology
+strands, Tor and the simplicial complexes; its Markowitz pivoting
+(shortest row, least populated column) keeps their incidence-like
+columns from filling in, which the engine's fixed least-index pivots
+do not.
 """
 
 from __future__ import annotations
 
-
-# ---------------------------------------------------------------------------
-# Dense matrices: lists of rows.
-
-
-def rref(rows, field):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not field.is_zero(rows[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not field.is_zero(rows[i][c]):
-                factor = rows[i][c]
-                rows[i] = [
-                    field.sub(x, field.mul(factor, y))
-                    for x, y in zip(rows[i], rows[r])
-                ]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def rank(rows, field) -> int:
-    return len(rref(rows, field)[1])
-
-
-def nullspace(rows, field, ncols=None):
-    """Basis of the right kernel, one vector per free column.
-
-    Vectors come out in ascending free-column order, which keeps every
-    downstream generator choice deterministic.
-    """
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(rows[0])
-    red, pivots = rref(rows, field)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [field.zero] * ncols
-        v[free] = field.one
-        for i, p in enumerate(pivots):
-            v[p] = field.neg(red[i][free])
-        basis.append(v)
-    return basis
+from heapq import heapify, heappop, heappush
 
 
 class SpanReducer:
     """Incrementally built row space with reduction against it.
 
-    Rows are kept in echelon form indexed by pivot position.  add()
-    reports whether the vector enlarged the span; reduce() returns the
-    residual of a vector against the current span.
+    Each row is a sparse dict keyed in `rows` by its pivot, its least
+    index, where it holds 1.  add() reports whether the vector enlarged
+    the span; reduce() returns the residual of a vector against the
+    current span, which is zero at every pivot and so does not depend
+    on the order in which the rows were added.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # pivot index -> dense row (list)
+        self.rows = {}  # pivot index -> sparse row, 1 at the pivot
 
     def reduce(self, vec):
+        """Residual of the sparse vector vec (left unchanged) as a new dict.
+
+        Rows are applied in ascending pivot order.  A row has no entry
+        below its pivot, so a pivot once cleared stays clear.
+        """
         fld = self.field
-        vec = list(vec)
-        for p in sorted(self.rows):
-            if p < len(vec) and not fld.is_zero(vec[p]):
-                factor = vec[p]
-                row = self.rows[p]
-                for i in range(p, len(vec)):
-                    vec[i] = fld.sub(vec[i], fld.mul(factor, row[i]))
-        return vec
+        rows = self.rows
+        out = {k: c for k, c in vec.items() if not fld.is_zero(c)}
+        heap = [k for k in out if k in rows]
+        heapify(heap)
+        while heap:
+            p = heappop(heap)
+            factor = out.pop(p, None)
+            if factor is None:
+                continue
+            for k, x in rows[p].items():
+                if k == p:
+                    continue
+                cur = out.get(k)
+                if cur is None:
+                    out[k] = fld.neg(fld.mul(factor, x))
+                    if k in rows:
+                        heappush(heap, k)
+                else:
+                    cur = fld.sub(cur, fld.mul(factor, x))
+                    if fld.is_zero(cur):
+                        del out[k]
+                    else:
+                        out[k] = cur
+        return out
 
     def add(self, vec) -> bool:
+        red = self.reduce(vec)
+        if not red:
+            return False
         fld = self.field
-        vec = self.reduce(vec)
-        for p, x in enumerate(vec):
-            if not fld.is_zero(x):
-                inv = fld.inv(x)
-                self.rows[p] = [fld.mul(inv, y) for y in vec]
-                return True
-        return False
+        p = min(red)
+        inv = fld.inv(red[p])
+        self.rows[p] = {k: fld.mul(inv, c) for k, c in red.items()}
+        return True
 
     def contains(self, vec) -> bool:
-        return all(self.field.is_zero(x) for x in self.reduce(vec))
+        return not self.reduce(vec)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def reduced_rows(self):
+        """The reduced echelon basis of the span as {pivot: row}.
+
+        Pivots ascend.  Row p is {p: 1} plus the rest of the stored row
+        reduced, so it is 0 at every other pivot and unique for the span.
+        """
+        out = {}
+        for p in sorted(self.rows):
+            row = self.reduce({k: c for k, c in self.rows[p].items() if k != p})
+            row[p] = self.field.one
+            out[p] = row
+        return out
+
+
+def nullspace(columns, field):
+    """Basis of the kernel of the matrix with the given sparse columns.
+
+    columns are {row: coeff} dicts, as for sparse_rank.  There is one
+    vector per free column f, in ascending order of f, and vectors come
+    out as dicts with ascending keys: 1 at f, and minus the reduced
+    echelon entry in column f at each pivot column.  This keeps every
+    downstream generator choice deterministic.
+    """
+    rows = {}
+    for j, col in enumerate(columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[j] = c
+    span = SpanReducer(field)
+    for row in rows.values():
+        span.add(row)
+    basis = {f: {} for f in range(len(columns)) if f not in span.rows}
+    for p, row in span.reduced_rows().items():
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = field.neg(c)
+    for f, vec in basis.items():
+        vec[f] = field.one
+    return list(basis.values())
+
+
+# ---------------------------------------------------------------------------
+# Dense adapters: lists of rows in, lists of rows out.
+
+
+def rref(rows, field):
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    span = SpanReducer(field)
+    for row in rows:
+        span.add(dict(enumerate(row)))
+    ncols = range(len(rows[0]) if rows else 0)
+    red = span.reduced_rows()
+    return [[row.get(k, field.zero) for k in ncols] for row in red.values()], list(red)
+
+
+def rank(rows, field) -> int:
+    return len(rref(rows, field)[1])
 
 
 # ---------------------------------------------------------------------------

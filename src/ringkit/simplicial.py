@@ -578,26 +578,17 @@ def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
     dims = {}
     for n in range(L + 1):
         for key, labs in grouped[n].items():
-            if n == 0:
-                vecs = []
-                for idx in range(len(labs)):
-                    v = [fld.zero] * len(labs)
-                    v[idx] = fld.one
-                    vecs.append(v)
-                bases[(n, key)] = (labs, vecs)
-                dims[(n, key)] = len(vecs)
-                continue
-            tgt = grouped[n - 1].get(key, [])
+            # one row block per face d_1..d_n; level 0 has no faces
+            tgt = grouped.get(n - 1, {}).get(key, [])
             tix = {lab: i for i, lab in enumerate(tgt)}
-            rows = []
-            for _ in range(len(tgt) * n):
-                rows.append([fld.zero] * len(labs))
-            for cidx, lab in enumerate(labs):
+            cols = []
+            for lab in labs:
+                col = {}
                 for i in range(1, n + 1):
                     for lab2, c in module.face_vector(n, i, lab).items():
-                        r = (i - 1) * len(tgt) + tix[lab2]
-                        rows[r][cidx] = fld.add(rows[r][cidx], c)
-            vecs = linalg.nullspace(rows, fld, ncols=len(labs))
+                        col[(i - 1) * len(tgt) + tix[lab2]] = c
+                cols.append(col)
+            vecs = linalg.nullspace(cols, fld)
             bases[(n, key)] = (labs, vecs)
             dims[(n, key)] = len(vecs)
     mats = {}
@@ -609,41 +600,46 @@ def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
             # express d_0 of each kernel vector in the target kernel basis
             cols = []
             if vecs and tgt_vecs:
-                span_rows = [list(v) for v in tgt_vecs]
                 for v in vecs:
-                    img = [fld.zero] * len(tgt_labs)
-                    for cidx, c in enumerate(v):
-                        if fld.is_zero(c):
-                            continue
+                    img = {}
+                    for cidx, c in v.items():
                         for lab2, cc in module.face_vector(n, 0, labs[cidx]).items():
                             r = tgt_index[lab2]
-                            img[r] = fld.add(img[r], fld.mul(c, cc))
-                    coeffs = _express(span_rows, img, fld)
-                    cols.append(
-                        {i: c for i, c in enumerate(coeffs) if not fld.is_zero(c)}
-                    )
+                            acc = fld.add(img.get(r, fld.zero), fld.mul(c, cc))
+                            if fld.is_zero(acc):
+                                img.pop(r, None)
+                            else:
+                                img[r] = acc
+                    cols.append(_express(tgt_vecs, img, fld))
             else:
                 cols = [{} for _ in vecs]
             mats[(n, key)] = cols
     return NormalizedComplex("kernel", dims, mats, L, module.D, fld)
 
 
-def _express(basis_rows, target, fld):
-    """Solve sum c_i basis_i = target (the target is known to lie in the span)."""
-    if not basis_rows:
-        if any(not fld.is_zero(x) for x in target):
-            raise ValidationError("vector outside the expected span")
-        return []
-    ncols = len(basis_rows)
-    rows = []
-    for j in range(len(target)):
-        rows.append([basis_rows[i][j] for i in range(ncols)] + [target[j]])
-    red, pivots = linalg.rref(rows, fld)
-    coeffs = [fld.zero] * ncols
-    for r, p in enumerate(pivots):
-        if p == ncols:
-            raise ValidationError("vector outside the expected span")
-        coeffs[p] = red[r][ncols]
+def _express(basis, target, fld):
+    """Coordinates {i: c} with sum c_i basis_i = target, all sparse.
+
+    basis is a nullspace basis: vector i is 1 at its free column, its
+    largest index, and 0 at the free columns of the others, so c_i is
+    the target's entry there.  The target is known to lie in the span;
+    that is checked exactly.
+    """
+    coeffs = {}
+    residual = dict(target)
+    for i, vec in enumerate(basis):
+        c = target.get(max(vec))
+        if c is None:
+            continue
+        coeffs[i] = c
+        for k, x in vec.items():
+            acc = fld.sub(residual.get(k, fld.zero), fld.mul(c, x))
+            if fld.is_zero(acc):
+                residual.pop(k, None)
+            else:
+                residual[k] = acc
+    if residual:
+        raise ValidationError("vector outside the expected span")
     return coeffs
 
 

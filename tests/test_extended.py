@@ -7,11 +7,12 @@ import random
 
 import pytest
 
+from oracles import oracle_nullspace, oracle_rank, oracle_rref, span_contains
 from ringkit import parse_ring
 from ringkit import ghost, homalg, koszul, simplicial
 from ringkit.errors import ValidationError
 from ringkit.groebner import DEGREVLEX, IdealHandle, normal_form
-from ringkit.linalg import SpanReducer, nullspace, rank, sparse_rank
+from ringkit.linalg import SpanReducer, nullspace, rank, rref, sparse_rank
 from ringkit.polycore import PolyRing, PrimeField, QQ
 
 
@@ -118,55 +119,102 @@ def test_normal_form_is_k_linear():
         assert nf == expected
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
+# QQ, F2 and F5 keep their old parameter ids; F3 joins as field3
+ENGINE_FIELDS = [QQ, PrimeField(2), PrimeField(5), PrimeField(3)]
+
+
+def random_sparse_matrix(field, rng):
+    """A random matrix up to 10x10, about a third nonzero.
+
+    Returns (dense rows, sparse columns).
+    """
+    nrows, ncols = rng.randint(1, 10), rng.randint(1, 10)
+    dense = [
+        [
+            field.normalize(rng.randint(-3, 3)) if rng.random() < 0.35 else field.zero
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+    cols = [
+        {i: row[j] for i, row in enumerate(dense) if not field.is_zero(row[j])}
+        for j in range(ncols)
+    ]
+    return dense, cols
+
+
+def densify(vec, size, field):
+    out = [field.zero] * size
+    for k, c in vec.items():
+        out[k] = c
+    return out
+
+
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
 def test_sparse_rank_matches_dense_rank(field):
     rng = random.Random(field.characteristic + 17)
-    for _ in range(30):
-        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
-        dense = [
-            [field.normalize(rng.randint(-2, 2)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        cols = []
-        for j in range(ncols):
-            col = {}
-            for i in range(nrows):
-                if not field.is_zero(dense[i][j]):
-                    col[i] = dense[i][j]
-            cols.append(col)
-        assert sparse_rank(cols, field) == rank(dense, field)
+    for _ in range(40):
+        dense, cols = random_sparse_matrix(field, rng)
+        expected = oracle_rank(dense, field)
+        assert sparse_rank(cols, field) == expected
+        assert rank(dense, field) == expected
+        assert rref(dense, field) == oracle_rref(dense, field)
 
 
-def test_nullspace_vectors_are_in_the_kernel():
-    field = QQ
-    rng = random.Random(23)
-    for _ in range(20):
-        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [
-            [field.normalize(rng.randint(-2, 2)) for _ in range(ncols)]
-            for _ in range(nrows)
-        ]
-        kern = nullspace(rows, field, ncols=ncols)
-        assert len(kern) == ncols - rank(rows, field)
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
+def test_nullspace_vectors_are_in_the_kernel(field):
+    rng = random.Random(field.characteristic + 23)
+    for _ in range(40):
+        dense, cols = random_sparse_matrix(field, rng)
+        ncols = len(cols)
+        kern = nullspace(cols, field)
+        # the reduced-echelon basis, entry for entry and in free-column order
+        assert [densify(v, ncols, field) for v in kern] == oracle_nullspace(
+            dense, field, ncols
+        )
         for v in kern:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+            assert all(not field.is_zero(c) for c in v.values())
+            for row in dense:
+                acc = field.zero
+                for k, c in v.items():
+                    acc = field.add(acc, field.mul(row[k], c))
+                assert field.is_zero(acc)
 
 
-def test_span_reducer_against_rank():
-    field = PrimeField(3)
-    rng = random.Random(5)
-    for _ in range(20):
-        vecs = [
-            [field.normalize(rng.randint(0, 2)) for _ in range(6)]
-            for _ in range(5)
-        ]
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
+def test_span_reducer_against_rank(field):
+    rng = random.Random(field.characteristic + 5)
+    for _ in range(40):
+        vecs, _ = random_sparse_matrix(field, rng)
+        size = len(vecs[0])
         reducer = SpanReducer(field)
         for v in vecs:
-            reducer.add(list(v))
-        assert reducer.rank == rank(vecs, field)
+            reducer.add({k: c for k, c in enumerate(v) if not field.is_zero(c)})
+        assert reducer.rank == oracle_rank(vecs, field)
+        pivots = oracle_rref(vecs, field)[1]
+        assert sorted(reducer.rows) == pivots
         for v in vecs:
-            assert reducer.contains(list(v))
+            assert reducer.contains(dict(enumerate(v)))
+        for _ in range(5):
+            w = {
+                k: field.normalize(rng.randint(1, 4))
+                for k in range(size)
+                if rng.random() < 0.4
+            }
+            w = {k: c for k, c in w.items() if not field.is_zero(c)}
+            before = dict(w)
+            red = reducer.reduce(w)
+            assert w == before
+            assert not set(red) & set(pivots)
+            assert all(not field.is_zero(c) for c in red.values())
+            diff = [
+                field.sub(a, b)
+                for a, b in zip(densify(w, size, field), densify(red, size, field))
+            ]
+            assert span_contains(vecs, diff, field)
+            assert reducer.contains(w) == span_contains(
+                vecs, densify(w, size, field), field
+            )
 
 
 def test_graded_map_validation_rejects_bad_degrees():

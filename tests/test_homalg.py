@@ -140,6 +140,33 @@ def test_degree_bound_below_generator_degree_rejected():
         minimal_resolution(M, 2, internal=1)
 
 
+@pytest.mark.parametrize(
+    "entry, bounds",
+    [
+        ("tor", (2, -2)),
+        ("tor", (-1,)),
+        ("resolution", (-1,)),
+        ("resolution", (2, -1)),
+        ("homology", (-1,)),
+        ("koszul", (-1,)),
+    ],
+)
+def test_negative_bounds_are_rejected(entry, bounds):
+    from ringkit.koszul import koszul_homology_dims
+
+    R = parse_ring("QQ[x,y]/(x*y)")
+    k = residue_field_module(R)
+    K = koszul_on_vars(R)
+    call = {
+        "tor": lambda: tor_dims(k, k, *bounds),
+        "resolution": lambda: minimal_resolution(k, *bounds),
+        "homology": lambda: homology_dims(K.complex, *bounds),
+        "koszul": lambda: koszul_homology_dims(K, *bounds),
+    }[entry]
+    with pytest.raises(ValidationError):
+        call()
+
+
 def test_minimize_presentation_drops_dead_generator():
     R = parse_ring("F3[x,y]/(x*y)")
     amb = R.ambient
