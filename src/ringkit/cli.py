@@ -47,6 +47,7 @@ def _int_at_least(lo):
 
 
 _non_negative = _int_at_least(0)
+_positive = _int_at_least(1)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -80,7 +81,7 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("ghost", help="ghost analysis of a self-map")
     sp.add_argument("ring")
     sp.add_argument("--map", required=True, dest="map_text")
-    sp.add_argument("--jmax", type=int, default=None)
+    sp.add_argument("--jmax", type=_positive, default=None)
     add_common(sp)
 
     sp = sub.add_parser("aq", help="André-Quillen homology dimensions")
@@ -101,24 +102,22 @@ def _build_parser() -> _ArgumentParser:
     sp = sub.add_parser("tor", help="Tor of k against k or a Frobenius pushforward")
     sp.add_argument("ring")
     sp.add_argument("--with", dest="coefficients", choices=["k", "frobenius"], default="k")
-    sp.add_argument("--power", type=int, default=1)
+    sp.add_argument("--power", type=_positive, default=1)
     add_common(sp, degree=True, homological=True)
 
     sp = sub.add_parser("kunz", help="regularity vs Frobenius Tor-vanishing")
     sp.add_argument("ring")
-    sp.add_argument("--power", type=int, default=1)
+    sp.add_argument("--power", type=_positive, default=1)
     sp.add_argument("--homological-bound", type=_non_negative, default=6, metavar="N")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--order", choices=["degrevlex", "deglex"], default="degrevlex")
+    add_common(sp)
 
     sp = sub.add_parser(
         "ghost-trivial", help="twisted-Koszul Tor vs Betti convolution"
     )
     sp.add_argument("ring")
-    sp.add_argument("--power", type=int, default=1)
+    sp.add_argument("--power", type=_positive, default=1)
     sp.add_argument("--homological-bound", type=_non_negative, default=6, metavar="N")
-    sp.add_argument("--json", action="store_true")
-    sp.add_argument("--order", choices=["degrevlex", "deglex"], default="degrevlex")
+    add_common(sp)
 
     sp = sub.add_parser("corpus", help="verify the bundled (or given) corpus")
     sp.add_argument("path", nargs="?", default=None)

@@ -285,6 +285,32 @@ def nf_monomial(R: RingPresentation, m) -> Polynomial:
     return got
 
 
+def nf_coordinates(R: RingPresentation, parts, index):
+    """Sparse coordinates of the normal form of a sum of products.
+
+    parts holds (position t, standard monomial b, polynomial p); each
+    adds monomial(b) * p placed at t, and index maps (t, standard
+    monomial) to a coordinate.  The normal form is linear, so each
+    product is summed from the cached normal forms of the monomials b*m
+    over the terms c*m of p; terms that land on one coordinate are added
+    and those that cancel are dropped.
+    """
+    fld = R.field
+    out = {}
+    for t, b, p in parts:
+        for m, c in p.terms.items():
+            for m2, c2 in nf_monomial(R, mono_mul(b, m)).terms.items():
+                k = index[(t, m2)]
+                v = fld.mul(c, c2)
+                if k in out:
+                    v = fld.add(out[k], v)
+                    if fld.is_zero(v):
+                        del out[k]
+                        continue
+                out[k] = v
+    return out
+
+
 def quotient_basis(R: RingPresentation, degree: int):
     """Standard monomials of the given degree: the k-basis of R_degree.
 
@@ -346,44 +372,23 @@ def krull_dim(R: RingPresentation) -> int:
 def minimal_generator_count(R: RingPresentation) -> int:
     """dim_k I/mI, the number of minimal generators of the ideal.
 
-    Computed degreewise in the ambient ring: in each degree, the rank of
-    the span of all monomial multiples of the generators minus the rank
-    of the span of the proper multiples.
+    The count of the generators inside the ambient polynomial ring,
+    cached on the presentation.
     """
     key = ("mu", R.order_kind)
-    if key in R._cache:
-        return R._cache[key]
-    gens = R.generators
-    if not gens:
-        R._cache[key] = 0
-        return 0
-    ambient = R.ambient
-    fld = R.field
-    total = 0
-    for d in sorted({g.degree() for g in gens}):
-        index = {m: i for i, m in enumerate(monomials_of_degree(R.embdim, d))}
-        full = linalg.SpanReducer(fld)
-        proper = linalg.SpanReducer(fld)
-        for g in gens:
-            gd = g.degree()
-            if gd > d:
-                continue
-            for b in monomials_of_degree(R.embdim, d - gd):
-                p = ambient.monomial(b) * g
-                vec = {index[m]: c for m, c in p.terms.items()}
-                full.add(vec)
-                if d - gd >= 1:
-                    proper.add(vec)
-        total += full.rank - proper.rank
-    R._cache[key] = total
-    return total
+    if key not in R._cache:
+        ambient = RingPresentation(R.field, R.variables, (), R.order_kind)
+        R._cache[key] = minimal_generator_count_in(ambient, R.generators)
+    return R._cache[key]
 
 
 def minimal_generator_count_in(R: RingPresentation, gens) -> int:
     """dim_k J/mJ for the ideal J of R generated by the given elements.
 
-    Works modulo the presentation ideal: spans are taken in normal-form
-    coordinates over the standard monomials of each degree.
+    Computed degreewise modulo the presentation ideal: in each degree,
+    the rank of the span of all standard-monomial multiples of the
+    generators minus the rank of the span of the proper multiples, in
+    normal-form coordinates.
     """
     gens = [g for g in gens if not g.is_zero()]
     for g in gens:
@@ -392,7 +397,7 @@ def minimal_generator_count_in(R: RingPresentation, gens) -> int:
     fld = R.field
     total = 0
     for d in sorted({g.degree() for g in gens}):
-        index = {m: i for i, m in enumerate(quotient_basis(R, d))}
+        index = {(0, m): i for i, m in enumerate(quotient_basis(R, d))}
         full = linalg.SpanReducer(fld)
         proper = linalg.SpanReducer(fld)
         for g in gens:
@@ -400,8 +405,7 @@ def minimal_generator_count_in(R: RingPresentation, gens) -> int:
             if gd > d:
                 continue
             for b in quotient_basis(R, d - gd):
-                p = nf(R, R.ambient.monomial(b) * g)
-                vec = {index[m]: c for m, c in p.terms.items()}
+                vec = nf_coordinates(R, [(0, b, g)], index)
                 full.add(vec)
                 if d - gd >= 1:
                     proper.add(vec)

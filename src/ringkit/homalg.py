@@ -18,7 +18,7 @@ from math import gcd
 
 from . import groebner, linalg
 from .errors import ValidationError
-from .polycore import RingPresentation, mono_mul
+from .polycore import RingPresentation
 
 
 # ---------------------------------------------------------------------------
@@ -55,33 +55,6 @@ def free_strand_basis(module: GradedFreeModule, j: int):
     return out
 
 
-def _strand_image(R: RingPresentation, parts, index):
-    """Sparse strand coordinates of a sum of products, as {index: coeff}.
-
-    parts holds (generator t, standard monomial b, polynomial p); each
-    adds monomial(b) * p placed at generator t, and index maps the
-    (generator, standard monomial) labels of the target strand to
-    positions.  The normal form is linear, so each product is summed
-    from the cached normal forms of the monomials b*m over the terms c*m
-    of p; terms that land on one position are added and those that
-    cancel are dropped.
-    """
-    fld = R.field
-    out = {}
-    for t, b, p in parts:
-        for m, c in p.terms.items():
-            for m2, c2 in groebner.nf_monomial(R, mono_mul(b, m)).terms.items():
-                k = index[(t, m2)]
-                v = fld.mul(c, c2)
-                if k in out:
-                    v = fld.add(out[k], v)
-                    if fld.is_zero(v):
-                        del out[k]
-                        continue
-                out[k] = v
-    return out
-
-
 def multiply_strand_vector(R: RingPresentation, labels, index, vec, poly):
     """Multiply a sparse strand vector by a homogeneous polynomial.
 
@@ -90,7 +63,7 @@ def multiply_strand_vector(R: RingPresentation, labels, index, vec, poly):
     returns the sparse coordinates in the target strand.
     """
     parts = [labels[k] + (poly.scale(c),) for k, c in vec.items()]
-    return _strand_image(R, parts, index)
+    return groebner.nf_coordinates(R, parts, index)
 
 
 class GradedModuleMap:
@@ -139,7 +112,7 @@ class GradedModuleMap:
         tgt = free_strand_basis(self.target, j)
         tix = {lab: i for i, lab in enumerate(tgt)}
         columns = [
-            _strand_image(
+            groebner.nf_coordinates(
                 self.ring, [(i, b, row[t]) for i, row in enumerate(self.entries)], tix
             )
             for t, b in src
@@ -415,7 +388,7 @@ class _Strand:
                 continue
             for b in groebner.quotient_basis(M.ring, rem // s):
                 parts = [(t, b, p) for t, p in enumerate(col)]
-                self.reducer.add(_strand_image(self.ring, parts, self.index))
+                self.reducer.add(groebner.nf_coordinates(self.ring, parts, self.index))
         pivots = self.reducer.rows
         self.coords = [i for i in range(len(self.free)) if i not in pivots]
         self.position = {i: v for v, i in enumerate(self.coords)}
@@ -433,9 +406,9 @@ class _Strand:
     def image(self, parts):
         """Quotient coordinates of the sum of monomial(b) * p at generator t.
 
-        parts holds the (t, b, p) triples, as for _strand_image.
+        parts holds the (t, b, p) triples, as for groebner.nf_coordinates.
         """
-        return self.project(_strand_image(self.ring, parts, self.index))
+        return self.project(groebner.nf_coordinates(self.ring, parts, self.index))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@ degeneracies act by index bookkeeping, falling back to the boundary
 rule (d0 evaluates the cell's boundary, d_top kills it) when a
 composite stops being surjective.
 
+The simplicial modules studied here are spanned, level by level, by
+the monomials whose augmentation order (total exponent in the base
+variables and the cells) lies in a window [low, high): [n, oo) is the
+n-th power of the augmentation ideal I, and [1, 2) is the conormal
+module I/I^2, spanned by the variables and the cells.  One label
+scheme, (standard monomial of the base, cell exponents), serves every
+window.
+
 Homotopy groups are computed strandwise in internal degree through the
 Dold-Kan correspondence.  Two normalization routes are implemented:
 
@@ -26,6 +34,7 @@ scales to levels where kernel intersections are out of reach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import groebner, linalg
@@ -40,6 +49,21 @@ class Cell:
     internal_degree: int
 
 
+_BOUNDARY = -1
+
+
+def _face_slot(n: int, i: int, t: int):
+    """Where d_i at level n sends the cell slot with jump index t.
+
+    The composite with d_i stays surjective when the index moves (to
+    t-1 for i <= t, else t); otherwise the cell evaluates its boundary
+    (d_0 on t = 0: _BOUNDARY) or dies (d_n on t = n-1: None).
+    """
+    if i <= t:
+        return t - 1 if t >= 1 else _BOUNDARY
+    return t if t <= n - 2 else None
+
+
 class TruncatedSimplicialAlgebra:
     """Levels 0..L of a free simplicial polynomial algebra with boundaries."""
 
@@ -49,6 +73,7 @@ class TruncatedSimplicialAlgebra:
         self.L = L
         self._rings = {}
         self._faces = {}
+        self._moves = {}
         self._degens = {}
 
     # -- level rings ---------------------------------------------------------
@@ -84,18 +109,33 @@ class TruncatedSimplicialAlgebra:
             images = [tgt.var(k) for k in range(self.base.embdim)]
             for g, cell in enumerate(self.cells):
                 for t in range(n):
-                    if i <= t:
-                        if t >= 1:
-                            images.append(self._cell_var(n - 1, g, t - 1))
-                        else:
-                            images.append(self.embed_base(n - 1, cell.boundary))
+                    slot = _face_slot(n, i, t)
+                    if slot is None:
+                        images.append(tgt.zero())
+                    elif slot == _BOUNDARY:
+                        images.append(self.embed_base(n - 1, cell.boundary))
                     else:
-                        if t <= n - 2:
-                            images.append(self._cell_var(n - 1, g, t))
-                        else:
-                            images.append(tgt.zero())
+                        images.append(self._cell_var(n - 1, g, slot))
             self._faces[key] = images
         return self._faces[key]
+
+    def face_moves(self, n: int, i: int):
+        """_face_slot of d_i over the cell slots g*n + t of level n.
+
+        Entry g*n + t is the slot's position g*(n-1) + t' at level n-1,
+        or _BOUNDARY, or None.
+        """
+        key = (n, i)
+        if key not in self._moves:
+            moves = []
+            for g in range(len(self.cells)):
+                for t in range(n):
+                    slot = _face_slot(n, i, t)
+                    if slot is not None and slot != _BOUNDARY:
+                        slot += g * (n - 1)
+                    moves.append(slot)
+            self._moves[key] = moves
+        return self._moves[key]
 
     def degeneracy_images(self, n: int, i: int):
         """Images of the level-n generators under s_i, in the level n+1 ring."""
@@ -265,45 +305,59 @@ def simplicial_koszul(R: RingPresentation, sequence, L: int):
 # ---------------------------------------------------------------------------
 # Simplicial modules, strand by strand
 #
-# Labels at level n:
-#   conormal mode: ("v", i) for base variables, ("c", g, t) for cells;
-#   monomial modes: (rmono, xi) with rmono a standard monomial of the
-#   base and xi the exponent tuple over cell slots (g major, t minor).
+# A label at level n is (rmono, xi): rmono a standard monomial of the
+# base and xi the exponent tuple over cell slots (g major, t minor).
+# Its augmentation order is the total exponent, sum(rmono) + sum(xi).
+
+
+class _LabelIndex(dict):
+    """Maps (xi, standard monomial) to the label (standard monomial, xi)."""
+
+    def __missing__(self, key):
+        label = self[key] = (key[1], key[0])
+        return label
 
 
 class SimplicialModule:
     """Strandwise model of a simplicial module over the base field.
 
-    mode "conormal": the augmentation ideal modulo its square (labels
-    are variables and cells; maps take linear parts of images).
+    Levelwise it is the span of the monomials whose augmentation order
+    lies in a window [low, high), with internal degree <= the bound:
 
-    mode ("power", n): the n-th power of the augmentation ideal inside
-    the levelwise polynomial algebra, n = 0 giving the whole algebra;
-    labels are monomials with augmentation order >= n and internal
-    degree <= the bound.
+    mode ("power", n): the window [n, oo), the n-th power of the
+    augmentation ideal inside the levelwise polynomial algebra, n = 0
+    giving the whole algebra;
+
+    mode "conormal": the window [1, 2), the augmentation ideal modulo
+    its square, spanned by the variables and the cells.
+
+    Faces map into the whole algebra; the chain models keep the part
+    inside the window, which for the conormal module drops the I^2 part
+    of a boundary.
     """
 
     def __init__(self, tsa: TruncatedSimplicialAlgebra, mode, degree_bound: int):
+        if mode == "conormal":
+            self.window = (1, 2)
+        elif isinstance(mode, tuple) and mode[0] == "power":
+            self.window = (mode[1], math.inf)
+        else:
+            raise ValidationError(f"unknown simplicial module {mode!r}")
         self.tsa = tsa
-        self.mode = mode
         self.D = degree_bound
         self._labels = {}
+        self._label_of = _LabelIndex()
+        self._products = {}
         base = tsa.base
         self.multigraded = all(
             len(g.terms) == 1 for g in base.generators
         ) and all(len(c.boundary.terms) <= 1 for c in tsa.cells)
-        self._zero_cells = [
-            g for g, c in enumerate(tsa.cells) if c.boundary.is_zero()
-        ]
+        zero_cells = [g for g, c in enumerate(tsa.cells) if c.boundary.is_zero()]
+        self._zero_slot = {g: base.embdim + k for k, g in enumerate(zero_cells)}
 
     # -- labels ---------------------------------------------------------------
 
     def label_degree(self, n, label):
-        if self.mode == "conormal":
-            kind = label[0]
-            if kind == "v":
-                return 1
-            return self.tsa.cells[label[1]].internal_degree
         rmono, xi = label
         d = sum(rmono)
         for g, cell in enumerate(self.tsa.cells):
@@ -313,18 +367,16 @@ class SimplicialModule:
 
     def strand_key(self, n, label):
         """Grading key: full multidegree when available, else total degree."""
-        if not self.multigraded or self.mode == "conormal":
+        if not self.multigraded:
             return self.label_degree(n, label)
         rmono, xi = label
-        base = self.tsa.base
-        mdeg = list(rmono) + [0] * len(self._zero_cells)
-        zindex = {g: base.embdim + k for k, g in enumerate(self._zero_cells)}
+        mdeg = list(rmono) + [0] * len(self._zero_slot)
         for g, cell in enumerate(self.tsa.cells):
             e = sum(xi[g * n + t] for t in range(n))
             if e == 0:
                 continue
             if cell.boundary.is_zero():
-                mdeg[zindex[g]] += e
+                mdeg[self._zero_slot[g]] += e
             else:
                 (bm,) = cell.boundary.terms
                 for k, ee in enumerate(bm):
@@ -332,44 +384,34 @@ class SimplicialModule:
         return tuple(mdeg)
 
     def labels(self, n: int):
-        """All labels at level n with internal degree <= the bound."""
+        """All labels at level n in the window, internal degree <= the bound."""
         if n in self._labels:
             return self._labels[n]
-        tsa = self.tsa
-        if self.mode == "conormal":
-            labs = [("v", i) for i in range(tsa.base.embdim)]
-            for g in range(len(tsa.cells)):
-                for t in range(n):
-                    labs.append(("c", g, t))
-            labs = [l for l in labs if self.label_degree(n, l) <= self.D]
-        else:
-            power = self.mode[1]
-            slots = []
-            for g, cell in enumerate(tsa.cells):
-                for _ in range(n):
-                    slots.append(cell.internal_degree)
-            # depth-first over exponent vectors; 'start' keeps it canonical
-            xi_list = []
-            stack = [([0] * len(slots), 0, 0)]
-            while stack:
-                prefix, start, used = stack.pop()
-                xi_list.append(tuple(prefix))
-                for s in range(len(slots) - 1, start - 1, -1):
-                    if used + slots[s] > self.D:
-                        continue
-                    nxt = list(prefix)
-                    nxt[s] += 1
-                    stack.append((nxt, s, used + slots[s]))
-            labs = []
-            base = tsa.base
-            for xi in xi_list:
-                xi_deg = sum(e * s for e, s in zip(xi, slots))
-                xi_count = sum(xi)
-                for d in range(0, self.D - xi_deg + 1):
-                    if d + xi_count < power:
-                        continue
-                    for rm in groebner.quotient_basis(base, d):
-                        labs.append((rm, xi))
+        low, high = self.window
+        slots = []
+        for cell in self.tsa.cells:
+            slots.extend([cell.internal_degree] * n)
+        # depth-first over exponent vectors with their internal degree and
+        # order; 'start' keeps it canonical
+        xi_list = []
+        stack = [([0] * len(slots), 0, 0, 0)]
+        while stack:
+            prefix, start, used, count = stack.pop()
+            xi_list.append((tuple(prefix), used, count))
+            if count + 1 >= high:
+                continue
+            for s in range(len(slots) - 1, start - 1, -1):
+                if used + slots[s] > self.D:
+                    continue
+                nxt = list(prefix)
+                nxt[s] += 1
+                stack.append((nxt, s, used + slots[s], count + 1))
+        labs = []
+        for xi, xi_deg, xi_count in xi_list:
+            top = min(self.D - xi_deg, high - 1 - xi_count)
+            for d in range(max(0, low - xi_count), top + 1):
+                for rm in groebner.quotient_basis(self.tsa.base, d):
+                    labs.append((rm, xi))
         self._labels[n] = labs
         return labs
 
@@ -380,10 +422,6 @@ class SimplicialModule:
         some index in 0..n-1, because each degeneracy relabels cell
         generators injectively while skipping one index.
         """
-        if n == 0:
-            return True
-        if self.mode == "conormal":
-            return label[0] == "c" and n == 1
         _, xi = label
         cells = len(self.tsa.cells)
         for t in range(n):
@@ -396,68 +434,52 @@ class SimplicialModule:
 
     # -- structure maps -------------------------------------------------------
 
+    def _boundary_product(self, powers):
+        """The product of the cell boundaries to the given powers, cached."""
+        got = self._products.get(powers)
+        if got is None:
+            got = self.tsa.base.ambient.one()
+            for cell, e in zip(self.tsa.cells, powers):
+                if e:
+                    got = got * cell.boundary**e
+            self._products[powers] = got
+        return got
+
     def face_vector(self, n: int, i: int, label):
         """d_i of a label as a {label: coefficient} dict at level n-1."""
-        tsa = self.tsa
-        base = tsa.base
-        fld = base.field
-        if self.mode == "conormal":
-            kind = label[0]
-            if kind == "v":
-                return {("v", label[1]): fld.one}
-            g, t = label[1], label[2]
-            if i <= t:
-                if t >= 1:
-                    return {("c", g, t - 1): fld.one}
-                # boundary rule: only the linear part survives in I/I^2
-                out = {}
-                for vi in range(base.embdim):
-                    c = tsa.cells[g].boundary.linear_coefficient(vi)
-                    if not fld.is_zero(c):
-                        out[("v", vi)] = c
-                return out
-            if t <= n - 2:
-                return {("c", g, t): fld.one}
-            return {}
         rmono, xi = label
-        cells = len(tsa.cells)
+        cells = len(self.tsa.cells)
+        moves = self.tsa.face_moves(n, i)
         new_xi = [0] * (cells * (n - 1))
-        base_extra = None
-        for g in range(cells):
-            cell = tsa.cells[g]
-            for t in range(n):
-                e = xi[g * n + t]
-                if not e:
-                    continue
-                if i <= t:
-                    if t >= 1:
-                        new_xi[g * (n - 1) + (t - 1)] += e
-                    else:
-                        if cell.boundary.is_zero():
-                            return {}
-                        piece = cell.boundary**e
-                        base_extra = piece if base_extra is None else base_extra * piece
-                else:
-                    if t <= n - 2:
-                        new_xi[g * (n - 1) + t] += e
-                    else:
-                        return {}
+        powers = [0] * cells
+        for k, e in enumerate(xi):
+            if not e:
+                continue
+            to = moves[k]
+            if to is None:
+                return {}
+            if to == _BOUNDARY:
+                powers[k // n] = e
+            else:
+                new_xi[to] += e
         new_xi = tuple(new_xi)
-        if base_extra is None:
+        if not any(powers):
             # pure relabelling: a standard monomial stays in normal form
-            return {(rmono, new_xi): fld.one}
-        reduced = groebner.nf(base, base.ambient.monomial(rmono) * base_extra)
-        return {(m, new_xi): c for m, c in reduced.terms.items()}
+            return {(rmono, new_xi): self.tsa.base.field.one}
+        product = self._boundary_product(tuple(powers))
+        return groebner.nf_coordinates(
+            self.tsa.base, [(new_xi, rmono, product)], self._label_of
+        )
 
     def moore_vector(self, n: int, label):
         """Alternating-sum differential of a label, level n -> n-1."""
         fld = self.tsa.base.field
+        zero = fld.zero
         out = {}
         for i in range(0, n + 1):
-            piece = self.face_vector(n, i, label)
-            sgn = fld.one if i % 2 == 0 else fld.neg(fld.one)
-            for lab, c in piece.items():
-                acc = fld.add(out.get(lab, fld.zero), fld.mul(sgn, c))
+            op = fld.sub if i % 2 else fld.add
+            for lab, c in self.face_vector(n, i, label).items():
+                acc = op(out.get(lab, zero), c)
                 if fld.is_zero(acc):
                     out.pop(lab, None)
                 else:
@@ -501,23 +523,27 @@ class NormalizedComplex:
         return out
 
     def verify_d_squared(self) -> bool:
-        fld = self.field
         for (n, key), cols in self.mats.items():
             lower = self.mats.get((n - 1, key))
             if not lower:
                 continue
             for col in cols:
-                acc = {}
-                for r, c in col.items():
-                    for r2, c2 in lower[r].items():
-                        v = fld.add(acc.get(r2, fld.zero), fld.mul(c, c2))
-                        if fld.is_zero(v):
-                            acc.pop(r2, None)
-                        else:
-                            acc[r2] = v
-                if acc:
+                if _combine(self.field, [(c, lower[r]) for r, c in col.items()]):
                     return False
         return True
+
+
+def _combine(fld, pieces):
+    """The sparse sum of c * vec over the (c, vec) pieces, zeros dropped."""
+    out = {}
+    for c, vec in pieces:
+        for k, x in vec.items():
+            v = fld.add(out.get(k, fld.zero), fld.mul(c, x))
+            if fld.is_zero(v):
+                out.pop(k, None)
+            else:
+                out[k] = v
+    return out
 
 
 def normalize(module: SimplicialModule, method: str = "quotient") -> NormalizedComplex:
@@ -531,7 +557,7 @@ def normalize(module: SimplicialModule, method: str = "quotient") -> NormalizedC
     modules and used to cross-check the quotient route.
     """
     if method == "quotient":
-        return _normalize_quotient(module)
+        return _moore_complex(module, module.covering_labels, "quotient")
     if method == "kernel":
         return _normalize_kernel(module)
     raise ValidationError(f"unknown normalization method {method!r}")
@@ -544,29 +570,27 @@ def _group_by_key(module, n, labels):
     return grouped
 
 
-def _normalize_quotient(module: SimplicialModule) -> NormalizedComplex:
+def _restrict(vec, tix):
+    """The entries of a {label: coefficient} vector on the labels tix indexes."""
+    return {tix[lab]: c for lab, c in vec.items() if lab in tix}
+
+
+def _moore_complex(module: SimplicialModule, labels_of, method: str):
+    """The alternating-sum complex on the labels labels_of(n) of each level.
+
+    Each column is the Moore differential of a label, restricted to the
+    labels of the level below (the coordinate projection of a quotient).
+    """
     L = module.tsa.L
-    fld = module.tsa.base.field
-    dims = {}
+    grouped = {n: _group_by_key(module, n, labels_of(n)) for n in range(L + 1)}
+    dims = {(n, key): len(labs) for n in grouped for key, labs in grouped[n].items()}
     mats = {}
-    grouped = {n: _group_by_key(module, n, module.covering_labels(n)) for n in range(L + 1)}
-    for n in range(L + 1):
-        for key, labs in grouped[n].items():
-            dims[(n, key)] = len(labs)
     for n in range(1, L + 1):
         for key, labs in grouped[n].items():
-            tgt = grouped[n - 1].get(key, [])
-            tix = {lab: i for i, lab in enumerate(tgt)}
-            cols = []
-            for lab in labs:
-                col = {}
-                for lab2, c in module.moore_vector(n, lab).items():
-                    idx = tix.get(lab2)
-                    if idx is not None:
-                        col[idx] = c
-                cols.append(col)
+            tix = {lab: i for i, lab in enumerate(grouped[n - 1].get(key, []))}
+            cols = [_restrict(module.moore_vector(n, lab), tix) for lab in labs]
             mats[(n, key)] = cols
-    return NormalizedComplex("quotient", dims, mats, L, module.D, fld)
+    return NormalizedComplex(method, dims, mats, L, module.D, module.tsa.base.field)
 
 
 def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
@@ -596,24 +620,15 @@ def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
         for key in grouped[n]:
             labs, vecs = bases[(n, key)]
             tgt_labs, tgt_vecs = bases.get((n - 1, key), ([], []))
-            tgt_index = {lab: i for i, lab in enumerate(tgt_labs)}
-            # express d_0 of each kernel vector in the target kernel basis
-            cols = []
-            if vecs and tgt_vecs:
-                for v in vecs:
-                    img = {}
-                    for cidx, c in v.items():
-                        for lab2, cc in module.face_vector(n, 0, labs[cidx]).items():
-                            r = tgt_index[lab2]
-                            acc = fld.add(img.get(r, fld.zero), fld.mul(c, cc))
-                            if fld.is_zero(acc):
-                                img.pop(r, None)
-                            else:
-                                img[r] = acc
-                    cols.append(_express(tgt_vecs, img, fld))
-            else:
-                cols = [{} for _ in vecs]
-            mats[(n, key)] = cols
+            if not tgt_vecs:
+                mats[(n, key)] = [{} for _ in vecs]
+                continue
+            tix = {lab: i for i, lab in enumerate(tgt_labs)}
+            # d_0 of each label inside the window, then of each kernel
+            # vector in the target kernel basis
+            d0 = [_restrict(module.face_vector(n, 0, lab), tix) for lab in labs]
+            images = [_combine(fld, [(c, d0[k]) for k, c in v.items()]) for v in vecs]
+            mats[(n, key)] = [_express(tgt_vecs, img, fld) for img in images]
     return NormalizedComplex("kernel", dims, mats, L, module.D, fld)
 
 
@@ -625,53 +640,19 @@ def _express(basis, target, fld):
     the target's entry there.  The target is known to lie in the span;
     that is checked exactly.
     """
-    coeffs = {}
-    residual = dict(target)
-    for i, vec in enumerate(basis):
-        c = target.get(max(vec))
-        if c is None:
-            continue
-        coeffs[i] = c
-        for k, x in vec.items():
-            acc = fld.sub(residual.get(k, fld.zero), fld.mul(c, x))
-            if fld.is_zero(acc):
-                residual.pop(k, None)
-            else:
-                residual[k] = acc
-    if residual:
+    coeffs = {i: target[max(v)] for i, v in enumerate(basis) if max(v) in target}
+    pieces = [(fld.neg(c), basis[i]) for i, c in coeffs.items()]
+    if _combine(fld, [(fld.one, target)] + pieces):
         raise ValidationError("vector outside the expected span")
     return coeffs
 
 
 def unnormalized_homology(module: SimplicialModule, i_max: int):
     """Homology of the alternating-sum complex on full label bases."""
-    L = module.tsa.L
-    if i_max >= L:
+    if i_max >= module.tsa.L:
         raise PreconditionError("homotopy beyond the truncation level")
-    fld = module.tsa.base.field
-    grouped = {n: _group_by_key(module, n, module.labels(n)) for n in range(L + 1)}
-    ranks = {}
-    for n in range(1, L + 1):
-        for key, labs in grouped[n].items():
-            tgt = grouped[n - 1].get(key, [])
-            tix = {lab: i for i, lab in enumerate(tgt)}
-            cols = []
-            for lab in labs:
-                col = {}
-                for lab2, c in module.moore_vector(n, lab).items():
-                    idx = tix.get(lab2)
-                    if idx is not None:
-                        col[idx] = c
-                cols.append(col)
-            ranks[(n, key)] = linalg.sparse_rank(cols, fld)
-    out = {}
-    for n in range(0, i_max + 1):
-        for key, labs in grouped[n].items():
-            h = len(labs) - ranks.get((n, key), 0) - ranks.get((n + 1, key), 0)
-            if h:
-                j = sum(key) if isinstance(key, tuple) else key
-                out[(n, j)] = out.get((n, j), 0) + h
-    return out
+    table = _moore_complex(module, module.labels, "unnormalized").homology()
+    return {k: v for k, v in table.items() if k[0] <= i_max}
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,10 @@ def test_json_output_is_deterministic(capsys):
         (["aq", "F2[x]/(x^2)", "--levels", "3", "--degree-bound", "1"], 3),
         (["aq", "QQ[x,y]/(x^3,y^2)", "--levels", "4", "--degree-bound", "3"], 0),
         (["tor", "F3[x,y]/(x^2-x*y)", "--with", "frobenius", "--homological-bound", "3"], 0),
+        # Frobenius powers and the contracting search start at 1
+        (["tor", "F3[x,y]/(x*y)", "--power", "-2"], 1),
+        (["kunz", "F3[x,y]/(x*y)", "--power", "0"], 1),
+        (["ghost", "QQ[x,y]/(x*y)", "--map", "{x->x^2,y->y^2}", "--jmax", "0"], 1),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):

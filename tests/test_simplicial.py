@@ -1,8 +1,8 @@
 import pytest
 
-from ringkit import parse_ring
+from ringkit import groebner, parse_ring
 from ringkit.errors import PreconditionError
-from ringkit.polycore import QQ, RingPresentation
+from ringkit.polycore import QQ, Polynomial, RingPresentation
 from ringkit.simplicial import (
     SimplicialModule,
     aq_dims,
@@ -66,6 +66,51 @@ def test_boundary_rule_on_the_one_cell():
     assert d1[1].is_zero()
 
 
+def _substituted_face(tsa, n, i, label):
+    """d_i of a label's monomial through face_images, in label coordinates."""
+    rmono, xi = label
+    image = tsa.level_ring(n).monomial(rmono + xi).substitute(
+        tsa.face_images(n, i), tsa.level_ring(n - 1)
+    )
+    d = tsa.base.embdim
+    by_cells = {}
+    for m, c in image.terms.items():
+        by_cells.setdefault(m[d:], {})[m[:d]] = c
+    out = {}
+    for xi2, terms in by_cells.items():
+        reduced = groebner.nf(tsa.base, Polynomial(tsa.base.ambient, terms))
+        out.update({(m, xi2): c for m, c in reduced.terms.items()})
+    return out
+
+
+def _face_test_algebras():
+    R = parse_ring("QQ[x,y]/(x*y)")
+    yield simplicial_koszul(R, R.variable_polys(), 3)
+    R = parse_ring("F2[x]/(x^2)")
+    x = R.ambient.var(0)
+    yield simplicial_koszul(R, [x, x], 3)
+    R = parse_ring("QQ[x,y]")
+    x, y = R.ambient.var(0), R.ambient.var(1)
+    yield build_with_boundaries(
+        R, [("u", 1, x**2 - y**2), ("v", 1, R.ambient.zero())], 3
+    )
+
+
+def test_face_vector_matches_face_images():
+    # homology is built from face_vector; the simplicial identities are
+    # checked on face_images, so the two must be the same maps
+    checks = 0
+    for tsa in _face_test_algebras():
+        mod = SimplicialModule(tsa, ("power", 0), 5)
+        for n in range(1, tsa.L + 1):
+            for lab in mod.labels(n):
+                for i in range(n + 1):
+                    expected = _substituted_face(tsa, n, i, lab)
+                    assert mod.face_vector(n, i, lab) == expected, (n, i, lab)
+                    checks += 1
+    assert checks > 10000
+
+
 def test_higher_degree_cells_rejected():
     base = parse_ring("QQ[x]")
     with pytest.raises(PreconditionError):
@@ -85,6 +130,15 @@ def test_three_chain_models_agree_on_conormal_module():
     k = normalize(mod, "kernel").homology()
     u = unnormalized_homology(mod, 2)
     assert q == k == u == {(0, 1): 1, (1, 2): 1}
+    # a binomial boundary: strands are total degrees, not multidegrees
+    base = parse_ring("QQ[x,y]")
+    x, y = base.ambient.var(0), base.ambient.var(1)
+    tsa = build_with_boundaries(base, [("u", 1, x**2 - y**2), ("v", 1, x * y)], 4)
+    mod = SimplicialModule(tsa, "conormal", 8)
+    q = normalize(mod, "quotient").homology()
+    k = normalize(mod, "kernel").homology()
+    u = unnormalized_homology(mod, 3)
+    assert q == k == u == {(0, 1): 2, (1, 2): 2}
 
 
 def test_three_chain_models_agree_on_small_ring_module():
