@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 computed, 1 parse/usage error, 2 precondition rejection,
-3 truncation-inconclusive (a verdict-blocking truncation flag fired).
-Reports are printed as human-readable text, or as a JSON run report
-with --json; identical invocations produce identical JSON apart from
-the wall-time field.
+Exit codes: 0 computed, 1 parse/usage error (or a failing corpus
+check), 2 precondition rejection, 3 truncation-inconclusive: the report
+lists a truncation flag.  Every command prints one report, as
+human-readable text or, with --json, as a JSON run report; identical
+invocations produce identical JSON apart from the wall-time field.
+Missing bounds are the defaults of ringkit.bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 import time
 
-from . import __version__, corpus, ghost, homalg, koszul, simplicial
+from . import __version__, bounds, corpus, ghost, homalg, koszul, simplicial
 from .errors import DSLError, PreconditionError, ToolkitError, ValidationError
 from .polycore import RingPresentation, parse_map, parse_poly, parse_ring
 
@@ -55,7 +56,7 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--version", action="version", version=f"ringkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, levels=False, degree=False, homological=False):
+    def add_common(sp, levels=False, degree=False, homological=None):
         sp.add_argument("--json", action="store_true", help="emit a JSON report")
         sp.add_argument(
             "--order",
@@ -64,14 +65,16 @@ def _build_parser() -> _ArgumentParser:
             help="monomial order",
         )
         if levels:
-            sp.add_argument("--levels", type=_int_at_least(2), default=5, metavar="L")
+            sp.add_argument(
+                "--levels", type=_int_at_least(2), default=bounds.AQ_LEVELS, metavar="L"
+            )
         if degree:
             sp.add_argument(
                 "--degree-bound", type=_non_negative, default=None, metavar="D"
             )
-        if homological:
+        if homological is not None:
             sp.add_argument(
-                "--homological-bound", type=_non_negative, default=8, metavar="N"
+                "--homological-bound", type=_non_negative, default=homological, metavar="N"
             )
 
     sp = sub.add_parser("classify", help="regular / complete intersection / other")
@@ -97,27 +100,25 @@ def _build_parser() -> _ArgumentParser:
 
     sp = sub.add_parser("betti", help="Betti table of the residue field")
     sp.add_argument("ring")
-    add_common(sp, degree=True, homological=True)
+    add_common(sp, degree=True, homological=bounds.HOMOLOGICAL)
 
     sp = sub.add_parser("tor", help="Tor of k against k or a Frobenius pushforward")
     sp.add_argument("ring")
     sp.add_argument("--with", dest="coefficients", choices=["k", "frobenius"], default="k")
     sp.add_argument("--power", type=_positive, default=1)
-    add_common(sp, degree=True, homological=True)
+    add_common(sp, degree=True, homological=bounds.HOMOLOGICAL)
 
     sp = sub.add_parser("kunz", help="regularity vs Frobenius Tor-vanishing")
     sp.add_argument("ring")
     sp.add_argument("--power", type=_positive, default=1)
-    sp.add_argument("--homological-bound", type=_non_negative, default=6, metavar="N")
-    add_common(sp)
+    add_common(sp, homological=bounds.FROBENIUS_HOMOLOGICAL)
 
     sp = sub.add_parser(
         "ghost-trivial", help="twisted-Koszul Tor vs Betti convolution"
     )
     sp.add_argument("ring")
     sp.add_argument("--power", type=_positive, default=1)
-    sp.add_argument("--homological-bound", type=_non_negative, default=6, metavar="N")
-    add_common(sp)
+    add_common(sp, homological=bounds.FROBENIUS_HOMOLOGICAL)
 
     sp = sub.add_parser("corpus", help="verify the bundled (or given) corpus")
     sp.add_argument("path", nargs="?", default=None)
@@ -134,32 +135,17 @@ def _ring(args):
     return R
 
 
-def _finish(args, command, inputs, results, text, started, inconclusive=False):
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "version": __version__,
-        "wall_time_s": round(time.time() - started, 6),
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(text)
-    return (EXIT_TRUNCATION if inconclusive else EXIT_OK), report
-
-
-def _cmd_classify(args, started):
+def _cmd_classify(args):
     R = _ring(args)
     rep = ghost.classify(R)
     text = (
         f"{R.to_dsl()}: {rep.verdict}\n"
         f"embdim={rep.embdim} dim={rep.dim} minimal generators={rep.num_min_gens}"
     )
-    return _finish(args, "classify", {"ring": R.to_dsl()}, rep.to_json(), text, started)
+    return {"ring": R.to_dsl()}, rep.to_json(), text, []
 
 
-def _cmd_ghost(args, started):
+def _cmd_ghost(args):
     R = _ring(args)
     images = parse_map(args.map_text, R, R)
     phi = ghost.validate_map(images, R, R)
@@ -172,36 +158,23 @@ def _cmd_ghost(args, started):
         f"ci_koszul_ghost={rep.koszul_ghost}",
         f"ghost_verdict={rep.ghost_verdict}",
     ]
-    return _finish(
-        args,
-        "ghost",
-        {"ring": R.to_dsl(), "map": rep.map},
-        rep.to_json(),
-        "\n".join(lines),
-        started,
-    )
+    inputs = {"ring": R.to_dsl(), "map": rep.map}
+    return inputs, rep.to_json(), "\n".join(lines), []
 
 
-def _cmd_aq(args, started):
+def _cmd_aq(args):
     R = _ring(args)
-    D = args.degree_bound if args.degree_bound is not None else 10
-    res = simplicial.aq_dims(R, args.levels, D)
+    res = simplicial.aq_dims(R, args.levels, args.degree_bound)
+    D = res.degree_bound
     text = (
         f"{R.to_dsl()}: AQ dims {tuple(res.dims)} "
         f"(degrees 0..{args.levels - 2}, L={args.levels}, D={D})"
     )
-    return _finish(
-        args,
-        "aq",
-        {"ring": R.to_dsl(), "levels": args.levels, "degree_bound": D},
-        res.to_json(),
-        text,
-        started,
-        bool(res.flags),
-    )
+    inputs = {"ring": R.to_dsl(), "levels": args.levels, "degree_bound": D}
+    return inputs, res.to_json(), text, res.flags
 
 
-def _cmd_koszul(args, started):
+def _cmd_koszul(args):
     R = _ring(args)
     if args.sequence:
         seq = [parse_poly(s, R.ambient) for s in args.sequence.split(",")]
@@ -216,44 +189,23 @@ def _cmd_koszul(args, started):
         lines.append(f"  H_{i} degree {j}: dim {d}")
     results = table.to_json()
     results["ranks"] = K.complex.ranks()
-    inconclusive = bool(table.warnings)
-    return _finish(
-        args,
-        "koszul",
-        {"ring": R.to_dsl(), "sequence": [str(f) for f in seq]},
-        results,
-        "\n".join(lines),
-        started,
-        inconclusive,
-    )
+    inputs = {"ring": R.to_dsl(), "sequence": [str(f) for f in seq]}
+    return inputs, results, "\n".join(lines), table.warnings
 
 
-def _blocking_resolution_flags(flags):
-    return [f for f in flags if f.startswith("syzygy-at-degree-bound")]
-
-
-def _cmd_betti(args, started):
+def _cmd_betti(args):
     R = _ring(args)
     M = homalg.residue_field_module(R)
-    res = homalg.minimal_resolution(M, args.homological_bound, args.degree_bound)
-    table = res.betti
+    table = homalg.minimal_resolution(M, args.homological_bound, args.degree_bound).betti
     text = (
         f"Betti table of k over {R.to_dsl()} "
         f"(N={table.homological_bound}, D={table.degree_bound})\n" + table.to_text()
     )
-    inconclusive = bool(_blocking_resolution_flags(table.flags))
-    return _finish(
-        args,
-        "betti",
-        {"ring": R.to_dsl(), "N": args.homological_bound, "D": table.degree_bound},
-        table.to_json(),
-        text,
-        started,
-        inconclusive,
-    )
+    inputs = {"ring": R.to_dsl(), "N": args.homological_bound, "D": table.degree_bound}
+    return inputs, table.to_json(), text, table.flags
 
 
-def _cmd_tor(args, started):
+def _cmd_tor(args):
     R = _ring(args)
     k_mod = homalg.residue_field_module(R)
     if args.coefficients == "k":
@@ -263,25 +215,12 @@ def _cmd_tor(args, started):
         N = ghost.frobenius_pushforward(R, args.power)
         desc = f"frobenius pushforward (e={args.power})"
     table = homalg.tor_dims(k_mod, N, args.homological_bound, args.degree_bound)
-    lines = [
-        f"Tor(k, {desc}) over {R.to_dsl()}",
-        f"totals: {table.totals()}",
-    ]
-    inconclusive = "tor-classes-at-degree-bound" in table.flags or bool(
-        _blocking_resolution_flags(table.flags)
-    )
-    return _finish(
-        args,
-        "tor",
-        {"ring": R.to_dsl(), "with": desc, "N": args.homological_bound},
-        table.to_json(),
-        "\n".join(lines),
-        started,
-        inconclusive,
-    )
+    text = f"Tor(k, {desc}) over {R.to_dsl()}\ntotals: {table.totals()}"
+    inputs = {"ring": R.to_dsl(), "with": desc, "N": args.homological_bound}
+    return inputs, table.to_json(), text, table.flags
 
 
-def _cmd_kunz(args, started):
+def _cmd_kunz(args):
     R = _ring(args)
     rep = ghost.kunz_report(R, args.power, args.homological_bound)
     lines = [
@@ -291,19 +230,11 @@ def _cmd_kunz(args, started):
         f"Tor totals through {args.homological_bound}: {rep.tor.totals()}",
         f"consistent-with-Kunz: {str(rep.consistent).lower()}",
     ]
-    inconclusive = "tor-classes-at-degree-bound" in rep.tor.flags
-    return _finish(
-        args,
-        "kunz",
-        {"ring": R.to_dsl(), "power": args.power, "N": args.homological_bound},
-        rep.to_json(),
-        "\n".join(lines),
-        started,
-        inconclusive,
-    )
+    inputs = {"ring": R.to_dsl(), "power": args.power, "N": args.homological_bound}
+    return inputs, rep.to_json(), "\n".join(lines), rep.tor.flags
 
 
-def _cmd_ghost_trivial(args, started):
+def _cmd_ghost_trivial(args):
     R = _ring(args)
     rep = ghost.ghost_trivialization_check(R, args.power, args.homological_bound)
     lines = [
@@ -313,33 +244,13 @@ def _cmd_ghost_trivial(args, started):
         f"rhs (Betti * Koszul homology):    {rep.rhs_totals}",
         f"match: {str(rep.matches).lower()}",
     ]
-    inconclusive = "tor-classes-at-degree-bound" in rep.flags
-    return _finish(
-        args,
-        "ghost-trivial",
-        {"ring": R.to_dsl(), "power": args.power, "N": args.homological_bound},
-        rep.to_json(),
-        "\n".join(lines),
-        started,
-        inconclusive,
-    )
+    inputs = {"ring": R.to_dsl(), "power": args.power, "N": args.homological_bound}
+    return inputs, rep.to_json(), "\n".join(lines), rep.flags
 
 
-def _cmd_corpus(args, started):
+def _cmd_corpus(args):
     summary = corpus.corpus_verify(args.path)
-    exit_code = EXIT_OK if summary["failures"] == 0 else EXIT_USAGE
-    report = {
-        "command": "corpus",
-        "inputs": {"path": args.path or "<bundled>"},
-        "results": summary,
-        "version": __version__,
-        "wall_time_s": round(time.time() - started, 6),
-    }
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print(summary["text"])
-    return exit_code, report
+    return {"path": args.path or "<bundled>"}, summary, summary["text"], []
 
 
 _COMMANDS = {
@@ -361,7 +272,7 @@ def run(argv):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args, started)
+        inputs, results, text, flags = _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return (exc.code if isinstance(exc.code, int) else EXIT_OK), None
     except (DSLError, ValidationError) as exc:
@@ -373,6 +284,17 @@ def run(argv):
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+        "version": __version__,
+        "wall_time_s": round(time.time() - started, 6),
+    }
+    print(json.dumps(report, sort_keys=True) if args.json else text)
+    if args.command == "corpus" and results["failures"]:
+        return EXIT_USAGE, report
+    return (EXIT_TRUNCATION if flags else EXIT_OK), report
 
 
 def main():

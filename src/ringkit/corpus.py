@@ -108,7 +108,7 @@ def _run_expectation(entry: CorpusEntry, key: str, value: str):
         got = {"embdim": cls.embdim, "dim": cls.dim, "mu": cls.num_min_gens}[key]
         return str(got), got == int(value)
     if key == "aq":
-        got = simplicial.aq_dims(R, 4, 10).dims
+        got = simplicial.aq_dims(R, 4).dims
         return ",".join(map(str, got)), got == _ints(value)
     if key == "betti_k":
         want = _ints(value)
@@ -122,7 +122,7 @@ def _run_expectation(entry: CorpusEntry, key: str, value: str):
         got = table.totals()
         return ",".join(map(str, got)), got == _ints(value)
     if key == "kunz":
-        rep = ghost.kunz_report(R, 1, 6)
+        rep = ghost.kunz_report(R, 1)
         got = "consistent" if rep.consistent else "inconsistent"
         return got, got == value
     if key == "frobenius_conormal_zero":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import log2
 
-from . import groebner, homalg, koszul
+from . import bounds, groebner, homalg, koszul
 from .errors import PreconditionError
 from .polycore import Polynomial, RingPresentation, map_to_dsl
 
@@ -444,7 +444,9 @@ class KunzReport:
         }
 
 
-def kunz_report(R: RingPresentation, e: int = 1, N: int = 6) -> KunzReport:
+def kunz_report(
+    R: RingPresentation, e: int = 1, N: int = bounds.FROBENIUS_HOMOLOGICAL
+) -> KunzReport:
     """Regularity versus Frobenius Tor-vanishing, at truncation N.
 
     Consistent means the biconditional holds through the bound: the
@@ -492,7 +494,7 @@ class TrivializationReport:
 
 
 def ghost_trivialization_check(
-    R: RingPresentation, e: int = 1, N: int = 6
+    R: RingPresentation, e: int = 1, N: int = bounds.FROBENIUS_HOMOLOGICAL
 ) -> TrivializationReport:
     """Compare Tor against the Frobenius-twisted Koszul complex with the
     Betti/Koszul-homology convolution.

@@ -16,20 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import groebner, linalg
+from . import bounds, groebner, linalg
 from .errors import ValidationError
 from .polycore import RingPresentation
 
 
 # ---------------------------------------------------------------------------
 # Free modules, maps, complexes
-
-
-def _check_bounds(**bounds):
-    """Reject a negative truncation bound; None stands for the default."""
-    for name, value in bounds.items():
-        if value is not None and value < 0:
-            raise ValidationError(f"{name} bound must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +225,7 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
     strands are reported.  A module generator above the bound would cut
     a strand silently, so that situation is surfaced as a warning.
     """
-    _check_bounds(degree=up_to_internal)
+    bounds.check(degree=up_to_internal)
     D = up_to_internal
     warnings = []
     for i in range(C.lo, C.hi + 1):
@@ -468,15 +461,14 @@ class BettiTable:
 class ResolutionResult:
     complex: GradedChainComplex
     betti: BettiTable
-    flags: list
-    terminated: bool
 
+    @property
+    def flags(self):
+        return self.betti.flags
 
-def default_degree_bound(M: PresentedModule, N: int) -> int:
-    R = M.ring
-    s = M.scale
-    gen_max = max(M.gen_degrees, default=0)
-    return N * max(2, R.max_generator_degree()) * s + gen_max + 2 * s
+    @property
+    def terminated(self):
+        return self.betti.terminated
 
 
 def minimal_resolution(
@@ -495,9 +487,8 @@ def minimal_resolution(
     appear exactly at the degree bound: the next degree could then hold
     more.
     """
-    _check_bounds(homological=homological, degree=internal)
     N = homological
-    D = default_degree_bound(M, N) if internal is None else internal
+    D = bounds.resolution_degree(M, N, internal)
     M = minimize_presentation(M)
     R = M.ring
     fld = R.field
@@ -583,8 +574,8 @@ def minimal_resolution(
     for i, degs in enumerate(degrees_per_term):
         for j in degs:
             betti_entries[(i, j)] = betti_entries.get((i, j), 0) + 1
-    betti = BettiTable(betti_entries, s, N, D, list(flags), terminated)
-    return ResolutionResult(complex_, betti, list(flags), terminated)
+    betti = BettiTable(betti_entries, s, N, D, flags, terminated)
+    return ResolutionResult(complex_, betti)
 
 
 def resolution_is_minimal(res: ResolutionResult) -> bool:
@@ -656,7 +647,7 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
     the upper edge of the degree window (the window may then truncate
     genuine classes).
     """
-    _check_bounds(homological=homological, degree=degree_bound)
+    bounds.check(homological=homological, degree=degree_bound)
     if isinstance(N, PresentedModule):
         N = TorCoefficients.from_module(N)
     R = M.ring
@@ -674,19 +665,12 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
         default=0,
     )
     max_n_gen = max((max(t.gen_degrees, default=0) for t in N.terms), default=0)
-    if degree_bound is None:
-        D = (
-            a * max_delta
-            + b * max_n_gen
-            + unit * max(2, R.max_generator_degree())
-            + 2 * unit
-        )
-    else:
-        D = degree_bound
+    D = bounds.tor_degree(R, unit, a * max_delta + b * max_n_gen, degree_bound)
+    # complete through D // a + 1, above every degree the window reads,
+    # so the resolution's own bound flags describe no Tor entry
     need_res_D = D // a + 1
     if need_res_D > res.betti.degree_bound:
         res = minimal_resolution(M, nmax + 1, need_res_D)
-    flags = list(res.flags)
 
     strands = [ModuleStrands(t) for t in N.terms]
     qmax = len(N.terms) - 1
@@ -756,6 +740,5 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
                 entries[(n, J)] = h
 
     top = {J for (_, J) in entries}
-    if top and max(top) > D - unit:
-        flags.append("tor-classes-at-degree-bound")
+    flags = ["tor-classes-at-degree-bound"] if top and max(top) > D - unit else []
     return TorTable(entries, nmax, D, flags)

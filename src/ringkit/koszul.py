@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import groebner, homalg, linalg
+from . import bounds, groebner, homalg, linalg
 from .errors import PreconditionError
 from .polycore import RingPresentation
 
@@ -84,15 +84,8 @@ def koszul_on_maximal_ideal(R: RingPresentation) -> KoszulComplex:
     return koszul(R, R.variable_polys())
 
 
-def default_koszul_bound(K: KoszulComplex) -> int:
-    R = K.ring
-    top = sum(f.degree() for f in K.sequence)
-    return top + 8 * max(2, R.max_generator_degree()) + 2
-
-
 def koszul_homology_dims(K: KoszulComplex, degree_bound=None) -> homalg.HomologyTable:
-    D = default_koszul_bound(K) if degree_bound is None else degree_bound
-    return homalg.homology_dims(K.complex, D)
+    return homalg.homology_dims(K.complex, bounds.koszul_degree(K, degree_bound))
 
 
 def koszul_homology_annihilated(K: KoszulComplex, degree_bound=None) -> bool:
@@ -104,7 +97,7 @@ def koszul_homology_annihilated(K: KoszulComplex, degree_bound=None) -> bool:
     """
     R = K.ring
     fld = R.field
-    D = default_koszul_bound(K) if degree_bound is None else degree_bound
+    D = bounds.koszul_degree(K, degree_bound)
     C = K.complex
     for i in range(C.lo, C.hi + 1):
         module = C.module(i)
@@ -162,9 +155,7 @@ def generator_change_iso_check(
     if not groebner.is_minimal_generating_set(R, seq_b):
         raise PreconditionError("second sequence is not a minimal generating set")
     Ka, Kb = koszul(R, seq_a), koszul(R, seq_b)
-    D = degree_bound
-    if D is None:
-        D = max(default_koszul_bound(Ka), default_koszul_bound(Kb))
+    D = max(bounds.koszul_degree(K, degree_bound) for K in (Ka, Kb))
     ta = homalg.homology_dims(Ka.complex, D)
     tb = homalg.homology_dims(Kb.complex, D)
     return ta.entries == tb.entries
@@ -200,8 +191,9 @@ def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
     self-map the restricted module need not be finitely generated.
     """
     R = K.ring
+    bounds.check(degree=degree_bound)
     if mode == "trivial":
-        D = default_koszul_bound(K) if degree_bound is None else degree_bound
+        D = bounds.koszul_degree(K, degree_bound)
         table = homalg.homology_dims(K.complex, D)
         terms = []
         for i in range(K.complex.lo, K.complex.hi + 1):

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import groebner, linalg
+from . import bounds, groebner, linalg
 from .errors import PreconditionError, ValidationError
 from .polycore import PolyRing, Polynomial, RingPresentation
 
@@ -337,6 +337,7 @@ class SimplicialModule:
     """
 
     def __init__(self, tsa: TruncatedSimplicialAlgebra, mode, degree_bound: int):
+        bounds.check(degree=degree_bound)
         if mode == "conormal":
             self.window = (1, 2)
         elif isinstance(mode, tuple) and mode[0] == "power":
@@ -721,7 +722,7 @@ class AQResult:
         }
 
 
-def aq_dims(R: RingPresentation, L: int = 5, D: int = 10) -> AQResult:
+def aq_dims(R: RingPresentation, L: int = bounds.AQ_LEVELS, D=None) -> AQResult:
     """André-Quillen homology dimensions of a complete intersection.
 
     Builds the free simplicial replacement of the presentation (one
@@ -731,6 +732,7 @@ def aq_dims(R: RingPresentation, L: int = 5, D: int = 10) -> AQResult:
     regular sequence the replacement built from the generators alone is
     not a resolution, so its homology would not compute anything.
     """
+    D = bounds.aq_degree(D)
     codim = R.embdim - groebner.krull_dim(R)
     if len(R.generators) != codim:
         raise PreconditionError(
@@ -752,8 +754,6 @@ def aq_dims(R: RingPresentation, L: int = 5, D: int = 10) -> AQResult:
     for i in range(0, L - 1):
         dims.append(sum(d for (h, _), d in table.items() if h == i))
     strands = {k: v for k, v in table.items() if k[0] <= L - 2}
-    # AQ of a complete intersection lives in internal degrees at most the
-    # largest generator degree (and 1, for the variables)
-    certified = max(1, R.max_generator_degree())
+    certified = bounds.aq_certified(R)
     flags = [f"degree-bound-below-certified:{certified}"] if D < certified else []
     return AQResult(dims, strands, L, D, R.to_dsl(), flags)

@@ -141,12 +141,60 @@ def test_json_output_is_deterministic(capsys):
         (["tor", "F3[x,y]/(x*y)", "--power", "-2"], 1),
         (["kunz", "F3[x,y]/(x*y)", "--power", "0"], 1),
         (["ghost", "QQ[x,y]/(x*y)", "--map", "{x->x^2,y->y^2}", "--jmax", "0"], 1),
+        # Tor classes at the top of a user window
+        (["tor", "QQ[x,y]/(x*y)", "--degree-bound", "4", "--homological-bound", "8"], 3),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):
     code, _ = run(argv)
     capsys.readouterr()
     assert code == expected
+    if expected in (0, 3):
+        # exit 3 exactly when the printed report lists a truncation flag
+        code, _ = run(argv + ["--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == expected
+        assert (code == 3) == bool(_report_flags(report))
+
+
+def _report_flags(report):
+    results = report["results"]
+    if report["command"] == "koszul":
+        return results["warnings"]
+    if report["command"] == "kunz":
+        return results["tor"]["truncation"]["flags"]
+    if report["command"] == "ghost-trivial":
+        return results["flags"]
+    return results.get("truncation", {}).get("flags", [])
+
+
+@pytest.mark.parametrize(
+    "argv,path,expected",
+    [
+        (["betti", "QQ[x]/(x^5)", "--homological-bound", "4"], ["truncation", "D"], 22),
+        (
+            ["betti", "QQ[x,y,z,w]/(x^2,y^2,z^2,w^2,x*y)", "--homological-bound", "5"],
+            ["truncation", "D"],
+            12,
+        ),
+        (["tor", "QQ[x,y,z]/(x*y,y*z,x^3)", "--homological-bound", "4"], ["truncation", "D"], 12),
+        (["tor", "F3[x,y]/(x*y)", "--with", "frobenius"], ["truncation", "N"], 8),
+        (["tor", "F3[x,y]/(x*y)", "--with", "frobenius"], ["truncation", "D"], 43),
+        (["koszul", "QQ[x,y,z,w]/(x*y,z*w)"], ["degree_bound"], 22),
+        (["aq", "QQ[x,y,z,w]/(x^2,y^2,z^2,w^2)", "--levels", "5"], ["truncation", "D"], 10),
+        (["kunz", "F2[x,y]/(x^2,y^3)"], ["tor", "truncation", "N"], 6),
+        (["kunz", "F2[x,y]/(x^2,y^3)"], ["tor", "truncation", "D"], 32),
+    ],
+)
+def test_default_windows_are_pinned(argv, path, expected):
+    # the windows a report is read through when no bound is given; a
+    # certified bound may skip work inside them but must not shrink them
+    code, report = run(argv)
+    assert code == 0
+    value = report["results"]
+    for key in path:
+        value = value[key]
+    assert value == expected
 
 
 # ---------------------------------------------------------------------------

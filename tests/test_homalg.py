@@ -149,19 +149,37 @@ def test_degree_bound_below_generator_degree_rejected():
         ("resolution", (2, -1)),
         ("homology", (-1,)),
         ("koszul", (-1,)),
+        ("koszul-annihilated", (-1,)),
+        ("simplicial-conormal", (-1,)),
+        ("simplicial-power", (-1,)),
+        ("ideal-power", (2, 1, -1)),
+        ("connectedness", (-1,)),
+        ("aq", (4, -1)),
     ],
 )
 def test_negative_bounds_are_rejected(entry, bounds):
-    from ringkit.koszul import koszul_homology_dims
+    from ringkit import simplicial
+    from ringkit.koszul import koszul_homology_annihilated, koszul_homology_dims
 
     R = parse_ring("QQ[x,y]/(x*y)")
     k = residue_field_module(R)
     K = koszul_on_vars(R)
+    tsa = simplicial.simplicial_koszul(R, R.variable_polys(), 3)
     call = {
         "tor": lambda: tor_dims(k, k, *bounds),
         "resolution": lambda: minimal_resolution(k, *bounds),
         "homology": lambda: homology_dims(K.complex, *bounds),
         "koszul": lambda: koszul_homology_dims(K, *bounds),
+        "koszul-annihilated": lambda: koszul_homology_annihilated(K, *bounds),
+        "simplicial-conormal": lambda: simplicial.SimplicialModule(
+            tsa, "conormal", *bounds
+        ),
+        "simplicial-power": lambda: simplicial.SimplicialModule(
+            tsa, ("power", 1), *bounds
+        ),
+        "ideal-power": lambda: simplicial.ideal_power_homotopy(tsa, *bounds),
+        "connectedness": lambda: simplicial.connectedness_defect(tsa, *bounds),
+        "aq": lambda: simplicial.aq_dims(R, *bounds),
     }[entry]
     with pytest.raises(ValidationError):
         call()
