@@ -297,22 +297,21 @@ def pushforward_presentation(R: RingPresentation, q: int):
 
     Generators are the q-bounded monomials (degrees are their original
     total degrees; the module carries grading scale q).  Relations are
-    the expansions of basis-monomial multiples of the ideal generators.
+    the expansions of basis-monomial multiples of the ideal generators:
+    the columns of multiplication by each generator.
     """
     key = ("push-presentation", q)
     if key in R._cache:
         return R._cache[key]
     basis = pushforward_basis(R, q)
-    index = {b: i for i, b in enumerate(basis)}
     degs = [sum(b) for b in basis]
     zero = R.ambient.zero()
     cols = []
     for f in R.generators:
-        for a in basis:
-            expansion = _frobenius_expand(R, q, R.ambient.monomial(a) * f)
+        for column in pushforward_action(R, q, f):
             col = [zero] * len(basis)
-            for b, s in expansion.items():
-                col[index[b]] = s
+            for t, s in column.items():
+                col[t] = s
             cols.append(tuple(col))
     R._cache[key] = (degs, cols)
     return R._cache[key]

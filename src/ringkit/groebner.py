@@ -12,6 +12,7 @@ homogeneous, and graded orders keep degree-truncated reasoning sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from . import linalg
 from .errors import PreconditionError, ValidationError
@@ -19,7 +20,8 @@ from .polycore import (
     Polynomial,
     PolyRing,
     RingPresentation,
-    mono_deg,
+    deglex_key,
+    degrevlex_key,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -27,37 +29,27 @@ from .polycore import (
     monomials_of_degree,
 )
 
+_ORDER_KEYS = {"degrevlex": degrevlex_key, "deglex": deglex_key}
+
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """A graded monomial order with a variable priority permutation."""
+    """A graded monomial order: degrevlex or deglex."""
 
-    kind: str = "degrevlex"  # "degrevlex" | "deglex"
-    priority: tuple = ()  # permutation of variable indices, most significant first
+    kind: str = "degrevlex"
 
     def __post_init__(self):
-        if self.kind not in ("degrevlex", "deglex"):
+        if self.kind not in _ORDER_KEYS:
             raise ValidationError(f"unknown monomial order {self.kind!r}")
 
-    def key(self, m):
-        """Sort key; larger key means larger monomial."""
-        prio = self.priority if self.priority else tuple(range(len(m)))
-        pm = [m[i] for i in prio]
-        if self.kind == "deglex":
-            return (sum(m), tuple(pm))
-        return (sum(m), tuple(-e for e in reversed(pm)))
+    @property
+    def key(self):
+        """Sort key function; a larger key means a larger monomial."""
+        return _ORDER_KEYS[self.kind]
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
 DEGLEX = MonomialOrder("deglex")
-
-
-def order_for(ring_or_kind) -> MonomialOrder:
-    if isinstance(ring_or_kind, MonomialOrder):
-        return ring_or_kind
-    if isinstance(ring_or_kind, RingPresentation):
-        return MonomialOrder(ring_or_kind.order_kind)
-    return MonomialOrder(str(ring_or_kind))
 
 
 def leading_monomial(f: Polynomial, order: MonomialOrder):
@@ -66,14 +58,10 @@ def leading_monomial(f: Polynomial, order: MonomialOrder):
     return max(f.terms, key=order.key)
 
 
-def leading_coefficient(f: Polynomial, order: MonomialOrder):
-    return f.terms[leading_monomial(f, order)]
-
-
 def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     if f.is_zero():
         return f
-    return f.scale(f.ring.field.inv(leading_coefficient(f, order)))
+    return f.scale(f.ring.field.inv(f.terms[leading_monomial(f, order)]))
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
@@ -114,24 +102,22 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
     return mf * f - mg * g
 
 
-def _autoreduce(basis, order: MonomialOrder):
-    basis = [monic(g, order) for g in basis if not g.is_zero()]
-    # drop generators whose leading monomial is divisible by another's
-    basis.sort(key=lambda g: order.key(leading_monomial(g, order)))
+def _autoreduce(basis, lms, order: MonomialOrder):
+    """The reduced basis of a monic Groebner basis with leading monomials lms.
+
+    Scanned smallest first, a leading monomial divisible by a kept one is
+    dropped; a later one cannot divide it, as a divisor is never larger.
+    Tail reduction leaves each kept leading term in place, so the output
+    is monic and sorted by leading monomial, smallest first.
+    """
     minimal = []
-    for g in basis:
-        lm = leading_monomial(g, order)
-        if not any(
-            mono_divides(leading_monomial(h, order), lm) for h in minimal
-        ):
-            minimal.append(g)
-    # reduce tails
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(monic(normal_form(g, others, order), order))
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)))
-    return reduced
+    for i in sorted(range(len(basis)), key=lambda k: order.key(lms[k])):
+        if not any(mono_divides(lms[j], lms[i]) for j in minimal):
+            minimal.append(i)
+    kept = [basis[i] for i in minimal]
+    return [
+        normal_form(g, kept[:n] + kept[n + 1 :], order) for n, g in enumerate(kept)
+    ]
 
 
 def buchberger(gens, order: MonomialOrder = DEGREVLEX):
@@ -139,22 +125,24 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
 
     Classical Buchberger with the coprime-leading-term criterion and the
     chain criterion; the reduced output makes the computation idempotent.
+    Pairs wait in a heap keyed by (order key of their lcm, pair), pushed
+    once when their later element enters the basis.
     """
-    basis = [monic(g, order) for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    lms = [leading_monomial(g, order) for g in basis]
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    basis, lms, pairs = [], [], []
+
+    def enter(g):
+        k, lm = len(basis), leading_monomial(g, order)
+        for i in range(k):
+            heappush(pairs, (order.key(mono_lcm(lms[i], lm)), (i, k)))
+        basis.append(g)
+        lms.append(lm)
+
+    for g in gens:
+        if not g.is_zero():
+            enter(monic(g, order))
     done = set()
     while pairs:
-        i, j = min(
-            pairs,
-            key=lambda p: (
-                order.key(mono_lcm(lms[p[0]], lms[p[1]])),
-                p,
-            ),
-        )
-        pairs.remove((i, j))
+        _, (i, j) = heappop(pairs)
         done.add((i, j))
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):
@@ -173,12 +161,8 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
         s = s_polynomial(basis[i], basis[j], order)
         r = normal_form(s, basis, order)
         if not r.is_zero():
-            r = monic(r, order)
-            k = len(basis)
-            basis.append(r)
-            lms.append(leading_monomial(r, order))
-            pairs.update((m, k) for m in range(k))
-    return _autoreduce(basis, order)
+            enter(monic(r, order))
+    return _autoreduce(basis, lms, order)
 
 
 @dataclass(frozen=True)
@@ -324,7 +308,7 @@ def quotient_basis(R: RingPresentation, degree: int):
         return []
     cache = R._cache.setdefault(("qbasis", R.order_kind), {})
     if degree not in cache:
-        order = MonomialOrder(R.order_kind)
+        order = ring_ideal(R).order
         lms = ring_groebner(R).leading_monomials()
         units = list(monomials_of_degree(R.embdim, 1))
         start = degree

@@ -138,7 +138,7 @@ def generator_change_iso_check(
     ideals of the quotient or fail to be minimal generating sets.
     """
     seq_a, seq_b = list(seq_a), list(seq_b)
-    order = groebner.order_for(R)
+    order = groebner.ring_ideal(R).order
     ideal_a = groebner.IdealHandle(
         R.ambient, seq_a + list(R.generators), order
     )
@@ -173,7 +173,6 @@ class TwistedKoszulModuleComplex:
     mode: str  # "trivial" | "frobenius"
     power: int  # Frobenius exponent e (0 for trivial mode)
     coefficients: homalg.TorCoefficients
-    degree_bound: int | None = None  # bound used to read off strand data
 
 
 def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
@@ -186,6 +185,9 @@ def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
     frobenius_power: each term becomes the Frobenius-power pushforward
     of a free module, with the differential re-expressed on the
     monomial basis of exponents below p^e.
+
+    degree_bound is the strand window of the trivial mode; the Frobenius
+    twist reads no strand data, so it only checks the bound.
 
     General restrictions of scalars are rejected: for an arbitrary
     self-map the restricted module need not be finitely generated.
@@ -209,7 +211,7 @@ def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
             for q in range(1, len(terms))
         ]
         return TwistedKoszulModuleComplex(
-            K, "trivial", 0, homalg.TorCoefficients(terms, maps), D
+            K, "trivial", 0, homalg.TorCoefficients(terms, maps)
         )
     if mode == "frobenius_power":
         from . import ghost  # local import; ghost builds on this module
@@ -262,7 +264,7 @@ def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
                             rows[rr][cc] = rows[rr][cc] + entry
             maps.append(rows)
         return TwistedKoszulModuleComplex(
-            K, "frobenius", power, homalg.TorCoefficients(terms, maps), degree_bound
+            K, "frobenius", power, homalg.TorCoefficients(terms, maps)
         )
     raise PreconditionError(
         f"unsupported twist {mode!r}: only trivial and frobenius_power "

@@ -198,6 +198,11 @@ def degrevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def deglex_key(m):
+    """Sort key: larger key means larger monomial in graded lex."""
+    return (sum(m), m)
+
+
 # ---------------------------------------------------------------------------
 # Polynomials
 
@@ -344,10 +349,6 @@ class Polynomial:
         e[i] = 1
         return self.terms.get(tuple(e), self.ring.field.zero)
 
-    def sorted_terms(self, key=degrevlex_key):
-        """Terms in descending monomial order (canonical presentation)."""
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def substitute(self, images, ring: PolyRing | None = None) -> "Polynomial":
         """Replace variable i by images[i]; images live in a common ring."""
         if len(images) != self.ring.nvars:
@@ -383,7 +384,9 @@ def poly_to_dsl(f: Polynomial) -> str:
         return "0"
     names = f.ring.variables
     pieces = []
-    for m, c in f.sorted_terms():
+    # descending degrevlex, whatever order a ring computes in
+    terms = sorted(f.terms.items(), key=lambda t: degrevlex_key(t[0]), reverse=True)
+    for m, c in terms:
         factors = []
         for i, e in enumerate(m):
             if e == 1:

@@ -726,7 +726,8 @@ def aq_dims(R: RingPresentation, L: int = bounds.AQ_LEVELS, D=None) -> AQResult:
     """André-Quillen homology dimensions of a complete intersection.
 
     Builds the free simplicial replacement of the presentation (one
-    cell per ideal generator, boundary the generator), takes the
+    cell per generator of a minimal generating subset, kept in ascending
+    degree, with the generator as boundary), takes the
     conormal module of the augmentation ideal over the field, and
     normalizes.  Non complete intersections are rejected: without a
     regular sequence the replacement built from the generators alone is
@@ -734,18 +735,22 @@ def aq_dims(R: RingPresentation, L: int = bounds.AQ_LEVELS, D=None) -> AQResult:
     """
     D = bounds.aq_degree(D)
     codim = R.embdim - groebner.krull_dim(R)
-    if len(R.generators) != codim:
+    ambient = RingPresentation(R.field, R.variables, (), R.order_kind)
+    gens = []
+    for g in sorted(R.generators, key=lambda g: g.degree()):
+        if groebner.is_minimal_generating_set(ambient, gens + [g]):
+            gens.append(g)
+    if len(gens) != codim:
         raise PreconditionError(
-            "presentation is not a complete intersection (generator count "
-            f"{len(R.generators)} differs from codimension {codim}); "
+            "presentation is not a complete intersection (minimal generator "
+            f"count {len(gens)} differs from codimension {codim}); "
             "the cell-per-generator replacement is only a resolution for "
             "regular sequences"
         )
-    ambient = RingPresentation(R.field, R.variables, (), R.order_kind)
-    names = _fresh_cell_names(R.variables, len(R.generators))
+    names = _fresh_cell_names(R.variables, len(gens))
     tsa = build_with_boundaries(
         ambient,
-        [(names[i], 1, g) for i, g in enumerate(R.generators)],
+        [(names[i], 1, g) for i, g in enumerate(gens)],
         L,
     )
     module = SimplicialModule(tsa, "conormal", D)

@@ -103,6 +103,34 @@ def test_json_output_is_deterministic(capsys):
     assert first == second
 
 
+# x*z + y^2 leads with y^2 under degrevlex and with x*z under deglex
+_BINOMIAL = "F2[x,y,z]/(x*z+y^2)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", _BINOMIAL],
+        ["koszul", _BINOMIAL],
+        ["betti", _BINOMIAL, "--homological-bound", "4"],
+        ["tor", _BINOMIAL, "--homological-bound", "3"],
+        ["tor", _BINOMIAL, "--with", "frobenius", "--homological-bound", "3"],
+        ["kunz", _BINOMIAL, "--homological-bound", "3"],
+        ["aq", _BINOMIAL],
+        ["ghost", _BINOMIAL, "--map", "{x->x^2,y->y^2,z->z^2}"],
+        ["ghost-trivial", _BINOMIAL, "--homological-bound", "1"],
+    ],
+)
+def test_deglex_reaches_the_same_answers(argv, capsys):
+    reports = []
+    for order in ("degrevlex", "deglex"):
+        code, _ = run(argv + ["--order", order, "--json"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        reports.append((report["inputs"], report["results"]))
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract
 
@@ -143,6 +171,9 @@ def test_json_output_is_deterministic(capsys):
         (["ghost", "QQ[x,y]/(x*y)", "--map", "{x->x^2,y->y^2}", "--jmax", "0"], 1),
         # Tor classes at the top of a user window
         (["tor", "QQ[x,y]/(x*y)", "--degree-bound", "4", "--homological-bound", "8"], 3),
+        # a complete intersection with a redundant generator, as classify says
+        (["aq", "QQ[x,y]/(x^2,2*x^2)"], 0),
+        (["aq", "QQ[x,y]/(x^2,y^2,x^2+y^2)"], 0),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):

@@ -24,6 +24,7 @@ from ringkit.groebner import (
 from ringkit.polycore import (
     QQ,
     PolyRing,
+    PrimeField,
     RingPresentation,
     mono_divides,
     monomials_of_degree,
@@ -205,12 +206,6 @@ def test_deglex_vs_degrevlex_keys():
     assert DEGREVLEX.key((1, 0, 1)) < DEGREVLEX.key((0, 2, 0))
 
 
-def test_priority_permutation():
-    order = MonomialOrder("degrevlex", (1, 0))
-    # with y given priority, y > x
-    assert order.key((0, 1)) > order.key((1, 0))
-
-
 def test_membership_agrees_across_orders():
     R = PolyRing(QQ, ("x", "y"))
     x, y = R.var(0), R.var(1)
@@ -227,3 +222,33 @@ def test_minimal_generator_count():
     assert minimal_generator_count(parse_ring("QQ[x,y]/(x^2,x*y,y^2)")) == 3
     assert minimal_generator_count(parse_ring("QQ[x,y]/(x*y)")) == 1
     assert minimal_generator_count(parse_ring("QQ[x]")) == 0
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "deglex"])
+@pytest.mark.parametrize("p", [0, 7, 32003])
+def test_reduced_basis_matches_sympy(kind, p):
+    # an independent oracle: sympy's reduced basis, coefficients included
+    sympy = pytest.importorskip("sympy")
+    field = QQ if p == 0 else PrimeField(p)
+    order = MonomialOrder(kind)
+    rng = random.Random(f"sympy:{kind}:{p}")
+    for case in range(10):
+        nvars, d = rng.choice([(3, 2), (4, 2), (3, 3)])
+        R = PolyRing(field, tuple(f"x{i}" for i in range(nvars)))
+        syms = sympy.symbols(R.variables)
+        monos = list(monomials_of_degree(nvars, d))
+        gens = [
+            R.poly({m: rng.randint(-3, 3) for m in monos})
+            for _ in range(rng.randint(2, 3))
+        ]
+        options = {"domain": sympy.QQ} if p == 0 else {"modulus": p}
+        polys = [sympy.Poly.from_dict(dict(g.terms), *syms, **options) for g in gens]
+        G = sympy.groebner(
+            polys, *syms, order="grevlex" if kind == "degrevlex" else "grlex", **options
+        )
+        # normalize reads sympy's symmetric F_p coefficients mod p
+        expected = {
+            frozenset((m, field.normalize(c)) for m, c in h.terms()) for h in G.polys
+        }
+        got = {frozenset(g.terms.items()) for g in buchberger(gens, order)}
+        assert got == expected, (kind, p, case)

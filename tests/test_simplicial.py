@@ -238,6 +238,11 @@ def test_aq_dims_of_double_point_rings():
 def test_aq_dims_examples():
     assert aq_dims(parse_ring("QQ[x,y]/(x*y)"), 4, 10).dims == [2, 1, 0]
     assert aq_dims(parse_ring("QQ[x]"), 3, 10).dims == [1, 0]
+    # a complete intersection presented with a redundant generator
+    assert aq_dims(parse_ring("QQ[x,y]/(x^2,2*x^2)"), 5, 10).dims == [2, 1, 0, 0]
+    assert aq_dims(parse_ring("QQ[x,y]/(x^2)"), 5, 10).dims == [2, 1, 0, 0]
+    assert aq_dims(parse_ring("QQ[x,y]/(x^2,y^2,x^2+y^2)"), 5, 10).dims == [2, 2, 0, 0]
+    assert aq_dims(parse_ring("QQ[x,y]/(x^3,x^2)"), 5, 10).dims == [2, 1, 0, 0]
 
 
 @pytest.mark.parametrize("dsl", CI_CORPUS)
