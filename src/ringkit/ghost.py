@@ -510,7 +510,7 @@ def ghost_trivialization_check(
     K = koszul.koszul_on_maximal_ideal(R)
     TK = koszul.twist(K, "frobenius_power", e)
     k_mod = homalg.residue_field_module(R)
-    lhs = homalg.tor_dims(k_mod, TK.coefficients, N)
+    lhs = homalg.tor_dims(k_mod, TK, N)
     res = homalg.minimal_resolution(k_mod, N)
     betti = res.betti.totals()
     h = koszul.koszul_homology_dims(K).totals()

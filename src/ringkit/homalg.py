@@ -227,33 +227,26 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
     """
     bounds.check(degree=up_to_internal)
     D = up_to_internal
+    terms = range(C.lo, C.hi + 1)
     warnings = []
-    for i in range(C.lo, C.hi + 1):
+    for i in terms:
         degs = C.module(i).degrees
         if degs and max(degs) > D:
             warnings.append(
                 f"degree bound {D} is below a generator degree of term {i}"
             )
-    fld = C.ring.field
-    dims = {}
-    ranks = {}
-    for i in range(C.lo, C.hi + 1):
-        for j in range(0, D + 1):
-            dims[(i, j)] = len(free_strand_basis(C.module(i), j))
-    for i in range(C.lo, C.hi + 1):
-        f = C.maps.get(i)
-        for j in range(0, D + 1):
-            if f is None:
-                ranks[(i, j)] = 0
-            else:
-                columns, _, _ = f.strand_columns(j)
-                ranks[(i, j)] = linalg.sparse_rank(columns, fld)
-    entries = {}
-    for i in range(C.lo, C.hi + 1):
-        for j in range(0, D + 1):
-            h = dims[(i, j)] - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0)
-            if h:
-                entries[(i, j)] = h
+    dims = {
+        (i, j): len(free_strand_basis(C.module(i), j))
+        for i in terms
+        for j in range(D + 1)
+    }
+    strands = (
+        ((i, j), C.maps[i].strand_columns(j)[0])
+        for i in terms
+        if i in C.maps
+        for j in range(D + 1)
+    )
+    entries = linalg.homology(dims, strands, C.ring.field)
     return HomologyTable(entries, C.lo, C.hi, D, warnings)
 
 
@@ -299,8 +292,7 @@ class PresentedModule:
 
 def residue_field_module(R: RingPresentation) -> PresentedModule:
     """k = R/m as a presented module: one generator killed by the variables."""
-    cols = [(R.ambient.var(i),) for i in range(R.embdim)]
-    return PresentedModule(R, (0,), cols)
+    return trivial_action_module(R, (0,))
 
 
 def trivial_action_module(R: RingPresentation, degrees, scale=1) -> PresentedModule:
@@ -409,13 +401,11 @@ class _Strand:
 
 
 @dataclass
-class BettiTable:
-    entries: dict  # (i, j) -> count
-    rescale: int
+class TorTable:
+    entries: dict  # (i, j) -> dim, j in common grading units
     homological_bound: int
     degree_bound: int
     flags: list
-    terminated: bool
 
     def total(self, i: int) -> int:
         return sum(v for (h, _), v in self.entries.items() if h == i)
@@ -425,14 +415,28 @@ class BettiTable:
 
     def to_json(self):
         return {
-            "rescale": self.rescale,
+            "totals": self.totals(),
             "entries": sorted([i, j, v] for (i, j), v in self.entries.items()),
             "truncation": {
                 "N": self.homological_bound,
                 "D": self.degree_bound,
                 "flags": list(self.flags),
             },
-            "totals": self.totals(),
+        }
+
+
+@dataclass
+class BettiTable(TorTable):
+    """Graded Betti numbers beta_ij = dim Tor_i(M, k)_j, read off a
+    minimal resolution of M: entries count its generators by degree."""
+
+    rescale: int
+    terminated: bool
+
+    def to_json(self):
+        return {
+            **super().to_json(),
+            "rescale": self.rescale,
             "terminated": self.terminated,
         }
 
@@ -574,7 +578,7 @@ def minimal_resolution(
     for i, degs in enumerate(degrees_per_term):
         for j in degs:
             betti_entries[(i, j)] = betti_entries.get((i, j), 0) + 1
-    betti = BettiTable(betti_entries, s, N, D, flags, terminated)
+    betti = BettiTable(betti_entries, N, D, flags, s, terminated)
     return ResolutionResult(complex_, betti)
 
 
@@ -603,38 +607,9 @@ class TorCoefficients:
     terms: list
     maps: list
 
-    @staticmethod
-    def from_module(M: PresentedModule) -> "TorCoefficients":
-        return TorCoefficients([M], [])
-
     @property
     def scale(self) -> int:
         return self.terms[0].scale if self.terms else 1
-
-
-@dataclass
-class TorTable:
-    entries: dict  # (i, J) -> dim, J in common grading units
-    homological_bound: int
-    degree_bound: int
-    flags: list
-
-    def total(self, i: int) -> int:
-        return sum(v for (h, _), v in self.entries.items() if h == i)
-
-    def totals(self):
-        return [self.total(i) for i in range(self.homological_bound + 1)]
-
-    def to_json(self):
-        return {
-            "totals": self.totals(),
-            "entries": sorted([i, j, v] for (i, j), v in self.entries.items()),
-            "truncation": {
-                "N": self.homological_bound,
-                "D": self.degree_bound,
-                "flags": list(self.flags),
-            },
-        }
 
 
 def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorTable:
@@ -649,7 +624,7 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
     """
     bounds.check(homological=homological, degree=degree_bound)
     if isinstance(N, PresentedModule):
-        N = TorCoefficients.from_module(N)
+        N = TorCoefficients([N], [])
     R = M.ring
     if any(term.ring != R for term in N.terms):
         raise ValidationError("Tor arguments live over different rings")
@@ -690,7 +665,8 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
                     out.append((i, t, q, u, v))
         return out
 
-    def differential(src_basis, tgt_index):
+    def differential(src_basis, tgt_basis):
+        tgt_index = {lab: i for i, lab in enumerate(tgt_basis)}
         cols = []
         for (i, t, q, u, v) in src_basis:
             st_q = strands[q].strand(u)
@@ -726,18 +702,13 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
     entries = {}
     for J in range(0, D + 1):
         bases = {n: tensor_basis(n, J) for n in range(0, nmax + 2)}
-        ranks = {}
-        for n in range(1, nmax + 2):
-            src, tgt = bases[n], bases[n - 1]
-            if not src or not tgt:
-                ranks[n] = 0
-                continue
-            tgt_index = {lab: i for i, lab in enumerate(tgt)}
-            ranks[n] = linalg.sparse_rank(differential(src, tgt_index), fld)
-        for n in range(0, nmax + 1):
-            h = len(bases[n]) - ranks.get(n, 0) - ranks.get(n + 1, 0)
-            if h:
-                entries[(n, J)] = h
+        dims = {(n, J): len(bases[n]) for n in range(0, nmax + 1)}
+        maps = (
+            ((n, J), differential(bases[n], bases[n - 1]))
+            for n in range(1, nmax + 2)
+            if bases[n] and bases[n - 1]
+        )
+        entries.update(linalg.homology(dims, maps, fld))
 
     top = {J for (_, J) in entries}
     flags = ["tor-classes-at-degree-bound"] if top and max(top) > D - unit else []

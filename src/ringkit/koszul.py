@@ -34,6 +34,18 @@ class KoszulComplex:
         return self.complex.module(i).degrees
 
 
+def _differential_terms(subsets, i):
+    """The terms of d_i: (source slot, target slot, j, sign).
+
+    d_i sends the basis element of the subset S to the sum over the
+    positions pos of S of (-1)^pos f_j times that of S without j = S[pos].
+    """
+    tix = {T: r for r, T in enumerate(subsets[i - 1])}
+    for c, S in enumerate(subsets[i]):
+        for pos, j in enumerate(S):
+            yield c, tix[S[:pos] + S[pos + 1 :]], j, (-1) ** pos
+
+
 def koszul(R: RingPresentation, sequence) -> KoszulComplex:
     """The Koszul complex K(f_1, ..., f_n) over the presented ring."""
     seq = tuple(sequence)
@@ -59,16 +71,9 @@ def koszul(R: RingPresentation, sequence) -> KoszulComplex:
     maps = {}
     zero = R.ambient.zero()
     for i in range(1, n + 1):
-        src = subsets[i]
-        tgt = subsets[i - 1]
-        tix = {S: r for r, S in enumerate(tgt)}
-        entries = [[zero for _ in src] for _ in tgt]
-        for c, S in enumerate(src):
-            for pos, j in enumerate(S):
-                T = tuple(x for x in S if x != j)
-                coeff = seq[j] if pos % 2 == 0 else -seq[j]
-                r = tix[T]
-                entries[r][c] = entries[r][c] + coeff
+        entries = [[zero for _ in subsets[i]] for _ in subsets[i - 1]]
+        for c, r, j, sign in _differential_terms(subsets, i):
+            entries[r][c] = entries[r][c] + (seq[j] if sign == 1 else -seq[j])
         maps[i] = homalg.GradedModuleMap(modules[i], modules[i - 1], entries)
     return KoszulComplex(
         R, seq, subsets, homalg.GradedChainComplex(R, 0, n, modules, maps)
@@ -165,17 +170,9 @@ def generator_change_iso_check(
 # Twists
 
 
-@dataclass
-class TwistedKoszulModuleComplex:
-    """A Koszul complex re-expressed as a complex of presented modules."""
-
-    base: KoszulComplex
-    mode: str  # "trivial" | "frobenius"
-    power: int  # Frobenius exponent e (0 for trivial mode)
-    coefficients: homalg.TorCoefficients
-
-
-def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
+def twist(
+    K: KoszulComplex, mode: str, power: int = 1, degree_bound=None
+) -> homalg.TorCoefficients:
     """Restrict the scalars of a Koszul complex along a supported map.
 
     trivial: each term is replaced by its homology strand data, a sum
@@ -210,9 +207,7 @@ def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
             ]
             for q in range(1, len(terms))
         ]
-        return TwistedKoszulModuleComplex(
-            K, "trivial", 0, homalg.TorCoefficients(terms, maps)
-        )
+        return homalg.TorCoefficients(terms, maps)
     if mode == "frobenius_power":
         from . import ghost  # local import; ghost builds on this module
 
@@ -243,29 +238,20 @@ def twist(K: KoszulComplex, mode: str, power: int = 1, degree_bound=None):
         maps = []
         zero = R.ambient.zero()
         for i in range(1, K.complex.hi + 1):
-            src_subs = K.subsets[i]
-            tgt_subs = K.subsets[i - 1]
-            tix = {S: r for r, S in enumerate(tgt_subs)}
             rows = [
-                [zero] * (gen_count * len(src_subs))
-                for _ in range(gen_count * len(tgt_subs))
+                [zero] * (gen_count * len(K.subsets[i]))
+                for _ in range(gen_count * len(K.subsets[i - 1]))
             ]
-            for cslot, S in enumerate(src_subs):
-                for pos, jdx in enumerate(S):
-                    T = tuple(x for x in S if x != jdx)
-                    rslot = tix[T]
-                    sign = 1 if pos % 2 == 0 else -1
-                    action = ghost.pushforward_action(R, q, K.sequence[jdx])
-                    for t_src in range(gen_count):
-                        for t_tgt, p in action[t_src].items():
-                            entry = p if sign == 1 else -p
-                            rr = rslot * gen_count + t_tgt
-                            cc = cslot * gen_count + t_src
-                            rows[rr][cc] = rows[rr][cc] + entry
+            for cslot, rslot, jdx, sign in _differential_terms(K.subsets, i):
+                action = ghost.pushforward_action(R, q, K.sequence[jdx])
+                for t_src in range(gen_count):
+                    for t_tgt, p in action[t_src].items():
+                        entry = p if sign == 1 else -p
+                        rr = rslot * gen_count + t_tgt
+                        cc = cslot * gen_count + t_src
+                        rows[rr][cc] = rows[rr][cc] + entry
             maps.append(rows)
-        return TwistedKoszulModuleComplex(
-            K, "frobenius", power, homalg.TorCoefficients(terms, maps)
-        )
+        return homalg.TorCoefficients(terms, maps)
     raise PreconditionError(
         f"unsupported twist {mode!r}: only trivial and frobenius_power "
         "restrictions keep the terms finitely generated"

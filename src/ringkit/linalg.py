@@ -9,7 +9,8 @@ them up by name.  `sparse_rank` is the one-shot rank of homology
 strands, Tor and the simplicial complexes; its Markowitz pivoting
 (shortest row, least populated column) keeps their incidence-like
 columns from filling in, which the engine's fixed least-index pivots
-do not.
+do not.  `homology` turns those strand ranks into homology dimensions
+for all three.
 """
 
 from __future__ import annotations
@@ -216,3 +217,22 @@ def sparse_rank(columns, field) -> int:
             if not row:
                 del rows[r]
     return rnk
+
+
+def homology(dims, strands, field):
+    """Nonzero homology dimensions of a complex, strand by strand.
+
+    dims maps (n, key) to the dimension of term n in strand key.
+    strands yields ((n, key), sparse columns of d_n: term n -> term
+    n-1) and is consumed one strand at a time, so each strand's columns
+    can be freed once ranked; a strand it does not yield has rank 0.
+    Returns {(n, key): dim C_n - rank d_n - rank d_{n+1}} over the keys
+    of dims, in their order, without zero entries.
+    """
+    ranks = {nk: sparse_rank(columns, field) for nk, columns in strands}
+    out = {}
+    for (n, key), dim in dims.items():
+        h = dim - ranks.get((n, key), 0) - ranks.get((n + 1, key), 0)
+        if h:
+            out[(n, key)] = h
+    return out

@@ -407,11 +407,16 @@ class SimplicialModule:
                 nxt = list(prefix)
                 nxt[s] += 1
                 stack.append((nxt, s, used + slots[s], count + 1))
+        # every prefix reads standard monomials of degree <= min(D, high - 1)
+        bases = [
+            groebner.quotient_basis(self.tsa.base, d)
+            for d in range(min(self.D, high - 1) + 1)
+        ]
         labs = []
         for xi, xi_deg, xi_count in xi_list:
             top = min(self.D - xi_deg, high - 1 - xi_count)
             for d in range(max(0, low - xi_count), top + 1):
-                for rm in groebner.quotient_basis(self.tsa.base, d):
+                for rm in bases[d]:
                     labs.append((rm, xi))
         self._labels[n] = labs
         return labs
@@ -501,24 +506,17 @@ class NormalizedComplex:
     truncation and are not reported.
     """
 
-    method: str
     dims: dict
     mats: dict  # (n, key) -> list of sparse columns into level n-1
     untrusted_from: int
-    degree_bound: int
     field: object
 
     def homology(self):
         """Entries (i, internal_degree) -> dim, for i < untrusted_from."""
-        ranks = {}
-        for (n, key), cols in self.mats.items():
-            ranks[(n, key)] = linalg.sparse_rank(cols, self.field)
+        table = linalg.homology(self.dims, self.mats.items(), self.field)
         out = {}
-        for (n, key), dim in self.dims.items():
-            if n >= self.untrusted_from:
-                continue
-            h = dim - ranks.get((n, key), 0) - ranks.get((n + 1, key), 0)
-            if h:
+        for (n, key), h in table.items():
+            if n < self.untrusted_from:
                 j = sum(key) if isinstance(key, tuple) else key
                 out[(n, j)] = out.get((n, j), 0) + h
         return out
@@ -558,7 +556,7 @@ def normalize(module: SimplicialModule, method: str = "quotient") -> NormalizedC
     modules and used to cross-check the quotient route.
     """
     if method == "quotient":
-        return _moore_complex(module, module.covering_labels, "quotient")
+        return _moore_complex(module, module.covering_labels)
     if method == "kernel":
         return _normalize_kernel(module)
     raise ValidationError(f"unknown normalization method {method!r}")
@@ -576,7 +574,7 @@ def _restrict(vec, tix):
     return {tix[lab]: c for lab, c in vec.items() if lab in tix}
 
 
-def _moore_complex(module: SimplicialModule, labels_of, method: str):
+def _moore_complex(module: SimplicialModule, labels_of):
     """The alternating-sum complex on the labels labels_of(n) of each level.
 
     Each column is the Moore differential of a label, restricted to the
@@ -591,7 +589,7 @@ def _moore_complex(module: SimplicialModule, labels_of, method: str):
             tix = {lab: i for i, lab in enumerate(grouped[n - 1].get(key, []))}
             cols = [_restrict(module.moore_vector(n, lab), tix) for lab in labs]
             mats[(n, key)] = cols
-    return NormalizedComplex(method, dims, mats, L, module.D, module.tsa.base.field)
+    return NormalizedComplex(dims, mats, L, module.tsa.base.field)
 
 
 def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
@@ -630,7 +628,7 @@ def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
             d0 = [_restrict(module.face_vector(n, 0, lab), tix) for lab in labs]
             images = [_combine(fld, [(c, d0[k]) for k, c in v.items()]) for v in vecs]
             mats[(n, key)] = [_express(tgt_vecs, img, fld) for img in images]
-    return NormalizedComplex("kernel", dims, mats, L, module.D, fld)
+    return NormalizedComplex(dims, mats, L, fld)
 
 
 def _express(basis, target, fld):
@@ -652,7 +650,7 @@ def unnormalized_homology(module: SimplicialModule, i_max: int):
     """Homology of the alternating-sum complex on full label bases."""
     if i_max >= module.tsa.L:
         raise PreconditionError("homotopy beyond the truncation level")
-    table = _moore_complex(module, module.labels, "unnormalized").homology()
+    table = _moore_complex(module, module.labels).homology()
     return {k: v for k, v in table.items() if k[0] <= i_max}
 
 

@@ -92,35 +92,65 @@ def test_ghost_trivial_command():
     assert report["results"]["lhs_totals"] == [1, 2, 2, 2, 2, 2, 2]
 
 
-def test_json_output_is_deterministic(capsys):
-    argv = ["classify", "QQ[x,y]/(x*y)", "--json"]
-    run(argv)
-    first = json.loads(capsys.readouterr().out)
-    run(argv)
-    second = json.loads(capsys.readouterr().out)
-    first.pop("wall_time_s")
-    second.pop("wall_time_s")
-    assert first == second
-
-
 # x*z + y^2 leads with y^2 under degrevlex and with x*z under deglex
 _BINOMIAL = "F2[x,y,z]/(x*z+y^2)"
 
+_BINOMIAL_COMMANDS = [
+    ["classify", _BINOMIAL],
+    ["koszul", _BINOMIAL],
+    ["betti", _BINOMIAL, "--homological-bound", "4"],
+    ["tor", _BINOMIAL, "--homological-bound", "3"],
+    ["tor", _BINOMIAL, "--with", "frobenius", "--homological-bound", "3"],
+    ["kunz", _BINOMIAL, "--homological-bound", "3"],
+    ["aq", _BINOMIAL],
+    ["ghost", _BINOMIAL, "--map", "{x->x^2,y->y^2,z->z^2}"],
+    ["ghost-trivial", _BINOMIAL, "--homological-bound", "1"],
+]
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify", _BINOMIAL],
-        ["koszul", _BINOMIAL],
-        ["betti", _BINOMIAL, "--homological-bound", "4"],
-        ["tor", _BINOMIAL, "--homological-bound", "3"],
-        ["tor", _BINOMIAL, "--with", "frobenius", "--homological-bound", "3"],
-        ["kunz", _BINOMIAL, "--homological-bound", "3"],
-        ["aq", _BINOMIAL],
-        ["ghost", _BINOMIAL, "--map", "{x->x^2,y->y^2,z->z^2}"],
-        ["ghost-trivial", _BINOMIAL, "--homological-bound", "1"],
-    ],
-)
+# per command: the keys of the --json "results", and of its "truncation"
+_REPORT_KEYS = {
+    "classify": ("dim embdim num_min_gens verdict", None),
+    "koszul": ("degree_bound entries range ranks totals warnings", None),
+    "betti": ("entries rescale terminated totals truncation", "D N flags"),
+    "tor": ("entries totals truncation", "D N flags"),
+    "kunz": (
+        "classification consistent_with_kunz frobenius_conormal_zero power "
+        "pushforward_rank ring tor",
+        None,
+    ),
+    "aq": ("aq_dims ring strands truncation", "D L flags"),
+    "ghost": (
+        "ci_status classification conormal_matrix conormal_zero contracting_bound "
+        "contracting_j ghost_verdict koszul_ghost koszul_ghost_reason map ring",
+        None,
+    ),
+    "ghost-trivial": (
+        "betti_totals flags koszul_homology_totals lhs_totals matches power "
+        "required_stages_exceed rhs_totals ring stages_bound_satisfied",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", _BINOMIAL_COMMANDS)
+def test_json_output_is_deterministic(argv, capsys):
+    reports = []
+    for _ in range(2):
+        run(argv + ["--json"])
+        report = json.loads(capsys.readouterr().out)
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    results = reports[0]["results"]
+    keys, truncation = _REPORT_KEYS[argv[0]]
+    assert sorted(results) == keys.split()
+    if truncation is None:
+        assert "truncation" not in results
+    else:
+        assert sorted(results["truncation"]) == truncation.split()
+
+
+@pytest.mark.parametrize("argv", _BINOMIAL_COMMANDS)
 def test_deglex_reaches_the_same_answers(argv, capsys):
     reports = []
     for order in ("degrevlex", "deglex"):

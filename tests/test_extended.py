@@ -12,7 +12,7 @@ from ringkit import parse_ring
 from ringkit import ghost, homalg, koszul, simplicial
 from ringkit.errors import ValidationError
 from ringkit.groebner import DEGREVLEX, IdealHandle, normal_form
-from ringkit.linalg import SpanReducer, nullspace, rank, rref, sparse_rank
+from ringkit.linalg import SpanReducer, homology, nullspace, rank, rref, sparse_rank
 from ringkit.polycore import PolyRing, PrimeField, QQ
 
 
@@ -215,6 +215,57 @@ def test_span_reducer_against_rank(field):
             assert reducer.contains(w) == span_contains(
                 vecs, densify(w, size, field), field
             )
+
+
+def random_complex(field, rng, length):
+    """Term sizes and dense differentials d_1..d_length of a random complex.
+
+    d_1 is random; each later d_{n+1} has columns that are random
+    combinations of the oracle's nullspace basis of d_n, so that
+    d_n d_{n+1} = 0.
+    """
+    d1, _ = random_sparse_matrix(field, rng)
+    sizes, mats = [len(d1), len(d1[0])], [d1]
+    for _ in range(length - 1):
+        kernel = oracle_nullspace(mats[-1], field, sizes[-1])
+        cols = []
+        for _ in range(rng.randint(0, 6)):
+            col = [field.zero] * sizes[-1]
+            for v in kernel:
+                if rng.random() < 0.5:
+                    c = field.normalize(rng.randint(-2, 2))
+                    col = [field.add(a, field.mul(c, b)) for a, b in zip(col, v)]
+            cols.append(col)
+        mats.append([[col[r] for col in cols] for r in range(sizes[-1])])
+        sizes.append(len(cols))
+    return sizes, mats
+
+
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
+def test_homology_matches_oracle_ranks(field):
+    rng = random.Random(field.characteristic + 41)
+    for _ in range(20):
+        dims, strands, expected = {}, [], {}
+        for key in range(3):
+            sizes, mats = random_complex(field, rng, 3)
+            # rank d_n for n = 0..len(mats)+1; the ends have no map
+            ranks = [0] + [oracle_rank(m, field) for m in mats] + [0]
+            for n, size in enumerate(sizes):
+                dims[(n, key)] = size
+                if size - ranks[n] - ranks[n + 1]:
+                    expected[(n, key)] = size - ranks[n] - ranks[n + 1]
+            for n, m in enumerate(mats, start=1):
+                cols = [
+                    {r: row[j] for r, row in enumerate(m) if not field.is_zero(row[j])}
+                    for j in range(sizes[n])
+                ]
+                strands.append(((n, key), cols))
+        got = homology(dims, iter(strands), field)
+        assert got == expected
+        assert all(h > 0 for h in got.values())
+        for key in range(3):
+            euler = sum((-1) ** n * h for (n, k), h in got.items() if k == key)
+            assert euler == sum((-1) ** n * d for (n, k), d in dims.items() if k == key)
 
 
 def test_graded_map_validation_rejects_bad_degrees():

@@ -210,7 +210,7 @@ def test_trivial_twist_tor_is_betti_convolution():
         TK = twist(K, "trivial")
         N = 5
         k = residue_field_module(R)
-        lhs = tor_dims(k, TK.coefficients, N).totals()
+        lhs = tor_dims(k, TK, N).totals()
         betti = minimal_resolution(k, N).betti.totals()
         h = koszul_homology_dims(K).totals()
         rhs = [
@@ -227,14 +227,14 @@ def test_frobenius_twist_matrix_on_double_point():
     R = parse_ring("F2[x]/(x^2)")
     K = koszul_on_maximal_ideal(R)
     TK = twist(K, "frobenius_power", 1)
-    (mat,) = TK.coefficients.maps
+    (mat,) = TK.maps
     assert str(mat[1][0]) == "1"
     assert mat[0][0].is_zero() and mat[1][1].is_zero()
     # the image of the x-slot generator projects to zero in the target
     from ringkit.homalg import ModuleStrands
 
-    target = TK.coefficients.terms[0]
-    st = ModuleStrands(target).strand(TK.coefficients.terms[1].gen_degrees[1])
+    target = TK.terms[0]
+    st = ModuleStrands(target).strand(TK.terms[1].gen_degrees[1])
     vec = {}
     for m, c in mat[0][1].terms.items():
         vec[st.index[(0, m)]] = c
