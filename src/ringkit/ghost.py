@@ -248,14 +248,18 @@ def ci_koszul_ghost(phi: RingEndomap) -> KoszulGhostVerdict:
 # Frobenius
 
 
-def frobenius_map(R: RingPresentation, e: int = 1) -> RingEndomap:
-    """The e-th Frobenius power x -> x^(p^e) as a validated self-map."""
-    p = R.characteristic
-    if p == 0:
+def _frobenius_q(R: RingPresentation, e: int) -> int:
+    """q = p^e for the e-th Frobenius power; rejects what has none."""
+    if R.characteristic == 0:
         raise PreconditionError("Frobenius needs prime characteristic")
     if e < 1:
         raise PreconditionError("Frobenius power must be >= 1")
-    q = p**e
+    return R.characteristic**e
+
+
+def frobenius_map(R: RingPresentation, e: int = 1) -> RingEndomap:
+    """The e-th Frobenius power x -> x^(p^e) as a validated self-map."""
+    q = _frobenius_q(R, e)
     images = [R.ambient.var(i) ** q for i in range(R.embdim)]
     return validate_map(images, R, R)
 
@@ -300,27 +304,16 @@ def pushforward_presentation(R: RingPresentation, q: int):
     the expansions of basis-monomial multiples of the ideal generators:
     the columns of multiplication by each generator.
     """
-    key = ("push-presentation", q)
-    if key in R._cache:
-        return R._cache[key]
-    basis = pushforward_basis(R, q)
-    degs = [sum(b) for b in basis]
-    zero = R.ambient.zero()
-    cols = []
-    for f in R.generators:
-        for column in pushforward_action(R, q, f):
-            col = [zero] * len(basis)
-            for t, s in column.items():
-                col[t] = s
-            cols.append(tuple(col))
-    R._cache[key] = (degs, cols)
-    return R._cache[key]
+    degs = [sum(b) for b in pushforward_basis(R, q)]
+    cols = [col for f in R.generators for col in pushforward_action(R, q, f)]
+    return degs, cols
 
 
 def pushforward_action(R: RingPresentation, q: int, f: Polynomial):
     """Matrix of multiplication by f on the pushforward, per generator.
 
-    Returns a list over source generators of {target generator: poly}.
+    Returns the sparse columns: a list over source generators of
+    {target generator: poly}.
     """
     cache = R._cache.setdefault(("push-action", q), {})
     if f in cache:
@@ -342,14 +335,47 @@ def frobenius_pushforward(R: RingPresentation, e: int = 1) -> homalg.PresentedMo
     regular; in general the relations are the expanded generator
     multiples.  Module degrees are original degrees; scale is q = p^e.
     """
-    p = R.characteristic
-    if p == 0:
-        raise PreconditionError("Frobenius pushforward needs prime characteristic")
-    if e < 1:
-        raise PreconditionError("Frobenius power must be >= 1")
-    q = p**e
+    q = _frobenius_q(R, e)
     degs, cols = pushforward_presentation(R, q)
     return homalg.PresentedModule(R, degs, cols, scale=q)
+
+
+def frobenius_twist(K: koszul.KoszulComplex, e: int = 1) -> homalg.TorCoefficients:
+    """Restrict the scalars of a Koszul complex along the e-th Frobenius.
+
+    Each term becomes a sum of pushforwards, one block of generators
+    per basis element of the term, and the differential acts on each
+    block through the pushforward action of the sequence entry.
+    Module degrees are original degrees; the scale is q = p^e.  General
+    restrictions of scalars are not offered: along an arbitrary
+    self-map the restricted module need not be finitely generated.
+    """
+    R = K.ring
+    q = _frobenius_q(R, e)
+    push_gens, push_relations = pushforward_presentation(R, q)
+    g = len(push_gens)
+
+    def block(col, slot, sign=1):
+        return {slot * g + t: p if sign == 1 else -p for t, p in col.items()}
+
+    terms = []
+    for i in range(K.complex.lo, K.complex.hi + 1):
+        subsets = K.subsets[i]
+        shifts = [sum(K.sequence[j].degree() for j in S) for S in subsets]
+        degs = [shift + d for shift in shifts for d in push_gens]
+        cols = [
+            block(col, slot) for slot in range(len(subsets)) for col in push_relations
+        ]
+        terms.append(homalg.PresentedModule(R, degs, cols, scale=q))
+    maps = []
+    for i in range(1, K.complex.hi + 1):
+        columns = [{} for _ in range(g * len(K.subsets[i]))]
+        for cslot, rslot, j, sign in koszul.differential_terms(K.subsets, i):
+            action = pushforward_action(R, q, K.sequence[j])
+            for t, col in enumerate(action):
+                columns[cslot * g + t].update(block(col, rslot, sign))
+        maps.append(columns)
+    return homalg.TorCoefficients(terms, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +531,8 @@ def ghost_trivialization_check(
     (the report records whether 2^e exceeds the variable count, the
     bound under which the identity is guaranteed).
     """
-    if R.characteristic == 0:
-        raise PreconditionError("ghost trivialization needs prime characteristic")
     K = koszul.koszul_on_maximal_ideal(R)
-    TK = koszul.twist(K, "frobenius_power", e)
+    TK = frobenius_twist(K, e)
     k_mod = homalg.residue_field_module(R)
     lhs = homalg.tor_dims(k_mod, TK, N)
     res = homalg.minimal_resolution(k_mod, N)

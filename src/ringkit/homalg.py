@@ -59,40 +59,63 @@ def multiply_strand_vector(R: RingPresentation, labels, index, vec, poly):
     return groebner.nf_coordinates(R, parts, index)
 
 
+def _columns(columns, target_degrees, scale, source_degrees=None):
+    """Check a polynomial matrix given as sparse columns.
+
+    A matrix is one column per source generator, {target generator
+    index: homogeneous polynomial}.  Zero entries are pruned and keys
+    come out ascending.  Every entry p at target t must give its column
+    one module degree, target_degrees[t] + scale * deg p; with
+    source_degrees that degree is the source generator's.  Returns
+    (columns, column degrees); a column with no entries and no source
+    degree has degree None.
+    """
+    columns = tuple(columns)
+    if source_degrees is not None and len(columns) != len(source_degrees):
+        raise ValidationError("matrix shape does not match the modules")
+    rank = len(target_degrees)
+    out, degrees = [], []
+    for c, col in enumerate(columns):
+        degree = None if source_degrees is None else source_degrees[c]
+        clean = {}
+        for t in sorted(col):
+            p = col[t]
+            if not 0 <= t < rank:
+                raise ValidationError(
+                    f"column {c} has index {t} outside the target rank {rank}"
+                )
+            if p.is_zero():
+                continue
+            d = target_degrees[t] + scale * p.degree()
+            if degree is None:
+                degree = d
+            if not p.is_homogeneous() or d != degree:
+                raise ValidationError(
+                    f"entry ({t},{c}) is not homogeneous of module degree {degree}"
+                )
+            clean[t] = p
+        out.append(clean)
+        degrees.append(degree)
+    return tuple(out), degrees
+
+
 class GradedModuleMap:
     """Map of graded free modules given by a homogeneous polynomial matrix.
 
-    entries[i][j] is the coefficient of target generator i in the image
-    of source generator j; each nonzero entry is homogeneous of ring
-    degree (deg source_j - deg target_i) / scale.
+    columns[j] is the image of source generator j as a sparse column
+    {target index i: nonzero polynomial}, keys ascending; each entry is
+    homogeneous of ring degree (deg source_j - deg target_i) / scale.
     """
 
-    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, entries):
+    def __init__(self, source: GradedFreeModule, target: GradedFreeModule, columns):
         if source.ring != target.ring or source.scale != target.scale:
             raise ValidationError("map endpoints disagree")
         self.source = source
         self.target = target
         self.ring = source.ring
-        self.entries = tuple(tuple(row) for row in entries)
-        if len(self.entries) != target.rank or any(
-            len(row) != source.rank for row in self.entries
-        ):
-            raise ValidationError("matrix shape does not match the modules")
-        s = source.scale
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                if p.is_zero():
-                    continue
-                need = source.degrees[j] - target.degrees[i]
-                if (
-                    not p.is_homogeneous()
-                    or need < 0
-                    or need % s
-                    or p.degree() != need // s
-                ):
-                    raise ValidationError(
-                        f"entry ({i},{j}) is not homogeneous of degree {need}/{s}"
-                    )
+        self.columns, _ = _columns(
+            columns, target.degrees, source.scale, source.degrees
+        )
 
     def strand_columns(self, j: int):
         """The degree-j strand as sparse columns {target index: coeff}.
@@ -106,7 +129,7 @@ class GradedModuleMap:
         tix = {lab: i for i, lab in enumerate(tgt)}
         columns = [
             groebner.nf_coordinates(
-                self.ring, [(i, b, row[t]) for i, row in enumerate(self.entries)], tix
+                self.ring, [(i, b, p) for i, p in self.columns[t].items()], tix
             )
             for t, b in src
         ]
@@ -125,17 +148,15 @@ class GradedModuleMap:
         """self after other (other.source -> self.target)."""
         if other.target.degrees != self.source.degrees:
             raise ValidationError("maps are not composable")
-        R = self.ring
-        rows = []
-        for i in range(self.target.rank):
-            row = []
-            for j in range(other.source.rank):
-                acc = R.ambient.zero()
-                for t in range(self.source.rank):
-                    acc = acc + self.entries[i][t] * other.entries[t][j]
-                row.append(acc)
-            rows.append(row)
-        return GradedModuleMap(other.source, self.target, rows)
+        zero = self.ring.ambient.zero()
+        columns = []
+        for col in other.columns:
+            acc = {}
+            for t, q in col.items():
+                for i, p in self.columns[t].items():
+                    acc[i] = acc.get(i, zero) + p * q
+            columns.append(acc)
+        return GradedModuleMap(other.source, self.target, columns)
 
 
 @dataclass
@@ -182,10 +203,9 @@ def verify_d_squared(C: GradedChainComplex) -> bool:
         if upper is None or lower is None:
             continue
         comp = lower.compose(upper)
-        for row in comp.entries:
-            for p in row:
-                if not groebner.nf(R, p).is_zero():
-                    return False
+        for col in comp.columns:
+            if any(not groebner.nf(R, p).is_zero() for p in col.values()):
+                return False
     return True
 
 
@@ -257,34 +277,20 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
 class PresentedModule:
     """Finitely presented graded module: generators and relation columns.
 
-    Generator order is preserved as given (callers index against it);
-    relation columns must be homogeneous and zero columns are pruned.
+    Generator order is preserved as given (callers index against it).
+    Relations are sparse polynomial columns {generator index: poly},
+    as in GradedModuleMap; each must be homogeneous, and columns with
+    no nonzero entry are pruned.
     """
 
     def __init__(self, ring: RingPresentation, gen_degrees, relations=(), scale=1):
         self.ring = ring
         self.gen_degrees = tuple(gen_degrees)
         self.scale = scale
-        cleaned = []
-        for col in relations:
-            col = tuple(col)
-            if len(col) != len(self.gen_degrees):
-                raise ValidationError("relation column has the wrong length")
-            degree = None
-            for t, p in enumerate(col):
-                if p.is_zero():
-                    continue
-                if not p.is_homogeneous():
-                    raise ValidationError("inhomogeneous relation entry")
-                d = self.gen_degrees[t] + scale * p.degree()
-                if degree is None:
-                    degree = d
-                elif degree != d:
-                    raise ValidationError("relation column is not homogeneous")
-            if degree is not None:
-                cleaned.append((degree, col))
-        self.relations = tuple(col for _, col in cleaned)
-        self.relation_degrees = tuple(d for d, _ in cleaned)
+        cols, degrees = _columns(relations, self.gen_degrees, scale)
+        kept = [(d, col) for d, col in zip(degrees, cols) if col]
+        self.relations = tuple(col for _, col in kept)
+        self.relation_degrees = tuple(d for d, _ in kept)
 
     def free_module(self) -> GradedFreeModule:
         return GradedFreeModule(self.ring, self.gen_degrees, self.scale)
@@ -297,45 +303,37 @@ def residue_field_module(R: RingPresentation) -> PresentedModule:
 
 def trivial_action_module(R: RingPresentation, degrees, scale=1) -> PresentedModule:
     """k^n with trivial multiplication: every variable kills every generator."""
-    degrees = tuple(degrees)
-    cols = []
-    for t in range(len(degrees)):
-        for i in range(R.embdim):
-            col = [R.ambient.zero()] * len(degrees)
-            col[t] = R.ambient.var(i)
-            cols.append(tuple(col))
+    cols = [{t: R.ambient.var(i)} for t in range(len(degrees)) for i in range(R.embdim)]
     return PresentedModule(R, degrees, cols, scale)
 
 
 def minimize_presentation(M: PresentedModule) -> PresentedModule:
     """Cancel unit relation entries so the surviving generators are minimal."""
     gens = list(M.gen_degrees)
-    cols = [list(col) for col in M.relations]
+    cols = [dict(col) for col in M.relations]
     R = M.ring
+    zero = R.ambient.zero()
     while True:
-        hit = None
-        for c, col in enumerate(cols):
-            for t, p in enumerate(col):
-                if not p.is_zero() and p.degree() == 0:
-                    hit = (c, t, p.constant_term())
-                    break
-            if hit:
-                break
+        units = (
+            (c, t) for c, v in enumerate(cols) for t, p in v.items() if p.degree() == 0
+        )
+        hit = next(units, None)
         if hit is None:
-            break
-        c, t, unit = hit
+            return PresentedModule(R, gens, cols, M.scale)
+        c, t = hit
         pivot_col = cols.pop(c)
-        inv = R.field.inv(unit)
+        inv = R.field.inv(pivot_col[t].constant_term())
         for col in cols:
-            if col[t].is_zero():
-                continue
-            factor = col[t].scale(inv)
-            for u in range(len(gens)):
-                col[u] = col[u] - pivot_col[u] * factor
+            if t in col:
+                factor = col[t].scale(inv)
+                for u, p in pivot_col.items():
+                    col[u] = col.get(u, zero) - p * factor
         gens.pop(t)
-        for col in cols:
-            col.pop(t)
-    return PresentedModule(R, gens, [tuple(c) for c in cols], M.scale)
+        # drop generator t and the entries that cancelled, keys ascending
+        cols = [
+            {u - (u > t): v[u] for u in sorted(v) if u != t and not v[u].is_zero()}
+            for v in cols
+        ]
 
 
 class ModuleStrands:
@@ -372,7 +370,7 @@ class _Strand:
             if rem < 0 or rem % s:
                 continue
             for b in groebner.quotient_basis(M.ring, rem // s):
-                parts = [(t, b, p) for t, p in enumerate(col)]
+                parts = [(t, b, p) for t, p in col.items()]
                 self.reducer.add(groebner.nf_coordinates(self.ring, parts, self.index))
         pivots = self.reducer.rows
         self.coords = [i for i in range(len(self.free)) if i not in pivots]
@@ -557,13 +555,15 @@ def minimal_resolution(
             flags.append(f"syzygy-at-degree-bound:step-{step + 1}")
 
         new_degrees = [j for j, _, _ in newgens]
-        entries = [[ambient.zero() for _ in newgens] for _ in src_degrees]
-        for cidx, (j, v, free) in enumerate(newgens):
+        columns = []
+        for j, v, free in newgens:
+            col = {}
             for k, c in v.items():
                 t, b = free[k]
-                entries[t][cidx] = entries[t][cidx] + ambient.monomial(b, c)
+                col[t] = col.get(t, ambient.zero()) + ambient.monomial(b, c)
+            columns.append(col)
         tgt_mod = GradedFreeModule(R, tuple(new_degrees), s)
-        maps.append(GradedModuleMap(tgt_mod, current_free, entries))
+        maps.append(GradedModuleMap(tgt_mod, current_free, columns))
         degrees_per_term.append(new_degrees)
         current_free = tgt_mod
 
@@ -584,12 +584,12 @@ def minimal_resolution(
 
 def resolution_is_minimal(res: ResolutionResult) -> bool:
     """Every differential entry lies in the irrelevant ideal."""
-    for f in res.complex.maps.values():
-        for row in f.entries:
-            for p in row:
-                if not p.is_zero() and p.degree() == 0:
-                    return False
-    return True
+    return all(
+        p.degree() != 0
+        for f in res.complex.maps.values()
+        for col in f.columns
+        for p in col.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -600,12 +600,22 @@ def resolution_is_minimal(res: ResolutionResult) -> bool:
 class TorCoefficients:
     """A bounded complex of presented modules (terms in degrees 0..len-1).
 
-    maps[q-1] presents d_q: term q -> term q-1 as a polynomial matrix,
-    rows indexed by target generators, columns by source generators.
+    maps[q-1] presents d_q: term q -> term q-1 as sparse polynomial
+    columns, one per generator of term q, {term q-1 generator: poly},
+    checked as for GradedModuleMap.
     """
 
     terms: list
     maps: list
+
+    def __post_init__(self):
+        if len(self.maps) != max(len(self.terms) - 1, 0):
+            raise ValidationError("need one map between each pair of adjacent terms")
+        degrees = [term.gen_degrees for term in self.terms]
+        self.maps = [
+            _columns(cols, degrees[q], self.scale, degrees[q + 1])[0]
+            for q, cols in enumerate(self.maps)
+        ]
 
     @property
     def scale(self) -> int:
@@ -675,10 +685,7 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
             # resolution differential tensor identity
             dmap = res.complex.maps.get(i)
             if dmap is not None:
-                for t2, row in enumerate(dmap.entries):
-                    r = row[t]
-                    if r.is_zero():
-                        continue
+                for t2, r in dmap.columns[t].items():
                     u2 = u + sN * r.degree()
                     img = strands[q].strand(u2).image([(rep_t, rep_b, r)])
                     images.append(((i - 1, t2, q, u2), img))
@@ -686,8 +693,7 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
             if q >= 1:
                 sign = -1 if i % 2 else 1
                 parts = [
-                    (w, rep_b, row[rep_t].scale(sign))
-                    for w, row in enumerate(N.maps[q - 1])
+                    (w, rep_b, p.scale(sign)) for w, p in N.maps[q - 1][rep_t].items()
                 ]
                 images.append(((i, t, q - 1, u), strands[q - 1].strand(u).image(parts)))
             col = {}

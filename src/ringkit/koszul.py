@@ -4,9 +4,9 @@ K(f_1, ..., f_n) is the exterior-algebra complex with term i free on
 the size-i index subsets and differential contracting against the f_j
 with the standard alternating signs.  The distinguished complex on the
 variable images (the minimal generators of the irrelevant ideal) feeds
-the singularity reports; the twisted variants re-express each term as a
-presented module, either with trivial action or through a Frobenius
-power.
+the singularity reports; the trivial twist re-expresses each term as a
+presented module with trivial action (the Frobenius twist lives in
+ghost, next to the pushforward it uses).
 """
 
 from __future__ import annotations
@@ -26,15 +26,8 @@ class KoszulComplex:
     subsets: list  # subsets[i]: tuple of index tuples, sorted by (degree, tuple)
     complex: homalg.GradedChainComplex
 
-    @property
-    def length(self) -> int:
-        return len(self.sequence)
 
-    def term_degrees(self, i: int):
-        return self.complex.module(i).degrees
-
-
-def _differential_terms(subsets, i):
+def differential_terms(subsets, i):
     """The terms of d_i: (source slot, target slot, j, sign).
 
     d_i sends the basis element of the subset S to the sum over the
@@ -69,12 +62,11 @@ def koszul(R: RingPresentation, sequence) -> KoszulComplex:
             R, tuple(sum(degs[j] for j in S) for S in subs)
         )
     maps = {}
-    zero = R.ambient.zero()
     for i in range(1, n + 1):
-        entries = [[zero for _ in subsets[i]] for _ in subsets[i - 1]]
-        for c, r, j, sign in _differential_terms(subsets, i):
-            entries[r][c] = entries[r][c] + (seq[j] if sign == 1 else -seq[j])
-        maps[i] = homalg.GradedModuleMap(modules[i], modules[i - 1], entries)
+        columns = [{} for _ in subsets[i]]
+        for c, r, j, sign in differential_terms(subsets, i):
+            columns[c][r] = seq[j] if sign == 1 else -seq[j]
+        maps[i] = homalg.GradedModuleMap(modules[i], modules[i - 1], columns)
     return KoszulComplex(
         R, seq, subsets, homalg.GradedChainComplex(R, 0, n, modules, maps)
     )
@@ -170,89 +162,21 @@ def generator_change_iso_check(
 # Twists
 
 
-def twist(
-    K: KoszulComplex, mode: str, power: int = 1, degree_bound=None
-) -> homalg.TorCoefficients:
-    """Restrict the scalars of a Koszul complex along a supported map.
+def trivial_twist(K: KoszulComplex, degree_bound=None) -> homalg.TorCoefficients:
+    """Each term of K replaced by its homology strand data.
 
-    trivial: each term is replaced by its homology strand data, a sum
-    of one-dimensional pieces with trivial action and zero differential
-    (legitimate because the irrelevant ideal kills Koszul homology).
-
-    frobenius_power: each term becomes the Frobenius-power pushforward
-    of a free module, with the differential re-expressed on the
-    monomial basis of exponents below p^e.
-
-    degree_bound is the strand window of the trivial mode; the Frobenius
-    twist reads no strand data, so it only checks the bound.
-
-    General restrictions of scalars are rejected: for an arbitrary
-    self-map the restricted module need not be finitely generated.
+    A term becomes a sum of one-dimensional pieces with trivial action,
+    one per homology dimension in the strand window, and every
+    differential is zero; this is legitimate because the irrelevant
+    ideal kills Koszul homology.  The Frobenius twist is
+    ghost.frobenius_twist.
     """
-    R = K.ring
-    bounds.check(degree=degree_bound)
-    if mode == "trivial":
-        D = bounds.koszul_degree(K, degree_bound)
-        table = homalg.homology_dims(K.complex, D)
-        terms = []
-        for i in range(K.complex.lo, K.complex.hi + 1):
-            degs = []
-            for j, d in sorted(table.strands(i).items()):
-                degs.extend([j] * d)
-            terms.append(homalg.trivial_action_module(R, degs))
-        maps = [
-            [
-                [R.ambient.zero() for _ in terms[q].gen_degrees]
-                for _ in terms[q - 1].gen_degrees
-            ]
-            for q in range(1, len(terms))
-        ]
-        return homalg.TorCoefficients(terms, maps)
-    if mode == "frobenius_power":
-        from . import ghost  # local import; ghost builds on this module
-
-        if R.characteristic == 0:
-            raise PreconditionError(
-                "Frobenius twist needs prime characteristic"
-            )
-        if power < 1:
-            raise PreconditionError("Frobenius power must be >= 1")
-        q = R.characteristic**power
-        push_gens, push_relations = ghost.pushforward_presentation(R, q)
-        gen_count = len(push_gens)
-        terms = []
-        for i in range(K.complex.lo, K.complex.hi + 1):
-            degs = []
-            for S in K.subsets[i]:
-                # module degrees in the pushforward are original ring degrees
-                shift = sum(K.sequence[j].degree() for j in S)
-                degs.extend(shift + d for d in push_gens)
-            cols = []
-            for slot in range(len(K.subsets[i])):
-                for col in push_relations:
-                    full = [R.ambient.zero()] * (gen_count * len(K.subsets[i]))
-                    for t, p in enumerate(col):
-                        full[slot * gen_count + t] = p
-                    cols.append(tuple(full))
-            terms.append(homalg.PresentedModule(R, degs, cols, scale=q))
-        maps = []
-        zero = R.ambient.zero()
-        for i in range(1, K.complex.hi + 1):
-            rows = [
-                [zero] * (gen_count * len(K.subsets[i]))
-                for _ in range(gen_count * len(K.subsets[i - 1]))
-            ]
-            for cslot, rslot, jdx, sign in _differential_terms(K.subsets, i):
-                action = ghost.pushforward_action(R, q, K.sequence[jdx])
-                for t_src in range(gen_count):
-                    for t_tgt, p in action[t_src].items():
-                        entry = p if sign == 1 else -p
-                        rr = rslot * gen_count + t_tgt
-                        cc = cslot * gen_count + t_src
-                        rows[rr][cc] = rows[rr][cc] + entry
-            maps.append(rows)
-        return homalg.TorCoefficients(terms, maps)
-    raise PreconditionError(
-        f"unsupported twist {mode!r}: only trivial and frobenius_power "
-        "restrictions keep the terms finitely generated"
-    )
+    table = homalg.homology_dims(K.complex, bounds.koszul_degree(K, degree_bound))
+    terms = [
+        homalg.trivial_action_module(
+            K.ring, [j for j, d in sorted(table.strands(i).items()) for _ in range(d)]
+        )
+        for i in range(K.complex.lo, K.complex.hi + 1)
+    ]
+    maps = [[{} for _ in terms[q].gen_degrees] for q in range(1, len(terms))]
+    return homalg.TorCoefficients(terms, maps)

@@ -496,9 +496,6 @@ class RingPresentation:
 # DSL parsing
 
 
-_SYMBOLS = ("->", "[", "]", "(", ")", "{", "}", ",", "/", "^", "*", "+", "-")
-
-
 def _valid_ident(s: str) -> bool:
     return (
         bool(s)
@@ -564,8 +561,12 @@ class _Parser:
             raise DSLError(f"expected {want!r}, found {tok[1]!r}", tok[2])
         return tok
 
-    def at_end(self):
-        return self.peek()[0] == "END"
+    def whole(self, value):
+        """value, once the input is used up; else reject what is left."""
+        tok = self.peek()
+        if tok[0] != "END":
+            raise DSLError(f"trailing input {tok[1]!r}", tok[2])
+        return value
 
     # -- polynomial grammar: signed sums of terms ---------------------------
 
@@ -573,7 +574,7 @@ class _Parser:
         result = ring.zero()
         sign = 1
         tok = self.peek()
-        if tok == ("SYM", "+", tok[2]) or (tok[0] == "SYM" and tok[1] in "+-"):
+        if tok[0] == "SYM" and tok[1] in "+-":
             self.next()
             sign = -1 if tok[1] == "-" else 1
         result = result + self._parse_term(ring, sign)
@@ -687,21 +688,13 @@ class _Parser:
 def parse_ring(text: str) -> RingPresentation:
     """Parse a ring presentation like "QQ[x,y]/(x*y)" or "F2[x]/(x^2)"."""
     p = _Parser(text)
-    ring = p.parse_ring()
-    if not p.at_end():
-        tok = p.peek()
-        raise DSLError(f"trailing input {tok[1]!r}", tok[2])
-    return ring
+    return p.whole(p.parse_ring())
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     """Parse one polynomial in the given ambient ring."""
     p = _Parser(text)
-    f = p.parse_poly(ring)
-    if not p.at_end():
-        tok = p.peek()
-        raise DSLError(f"trailing input {tok[1]!r}", tok[2])
-    return f
+    return p.whole(p.parse_poly(ring))
 
 
 def parse_map(text: str, source: RingPresentation, target: RingPresentation):
@@ -711,11 +704,7 @@ def parse_map(text: str, source: RingPresentation, target: RingPresentation):
     module owns that certificate.
     """
     p = _Parser(text)
-    images = p.parse_map(source, target)
-    if not p.at_end():
-        tok = p.peek()
-        raise DSLError(f"trailing input {tok[1]!r}", tok[2])
-    return images
+    return p.whole(p.parse_map(source, target))
 
 
 def map_to_dsl(source: RingPresentation, images) -> str:

@@ -275,25 +275,26 @@ def test_graded_map_validation_rejects_bad_degrees():
     src = GradedFreeModule(R, (1,))
     tgt = GradedFreeModule(R, (0,))
     x = R.ambient.var(0)
-    GradedModuleMap(src, tgt, [[x]])  # degree 1 entry: fine
+    GradedModuleMap(src, tgt, [{0: x}])  # degree 1 entry: fine
     with pytest.raises(ValidationError):
-        GradedModuleMap(src, tgt, [[x * x]])  # wrong degree
+        GradedModuleMap(src, tgt, [{0: x * x}])  # wrong degree
     with pytest.raises(ValidationError):
-        GradedModuleMap(src, tgt, [[x + x * x]])  # inhomogeneous
+        GradedModuleMap(src, tgt, [{0: x + x * x}])  # inhomogeneous
 
 
 def test_presented_module_validation():
     R = parse_ring("QQ[x,y]")
     amb = R.ambient
     with pytest.raises(ValidationError):
-        homalg.PresentedModule(R, (0, 0), [(amb.var(0),)])  # wrong length
+        # index outside the target rank
+        homalg.PresentedModule(R, (0, 0), [{2: amb.var(0)}])
     with pytest.raises(ValidationError):
         # column mixes degrees 1 and 2
         homalg.PresentedModule(
-            R, (0, 0), [(amb.var(0), amb.var(0) * amb.var(1))]
+            R, (0, 0), [{0: amb.var(0), 1: amb.var(0) * amb.var(1)}]
         )
-    # zero columns are pruned
-    M = homalg.PresentedModule(R, (0,), [(amb.zero(),)])
+    # zero entries and then zero columns are pruned
+    M = homalg.PresentedModule(R, (0,), [{0: amb.zero()}])
     assert M.relations == ()
 
 

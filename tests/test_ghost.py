@@ -198,8 +198,8 @@ def test_pushforward_of_double_point_is_two_trivial_lines():
     R = parse_ring("F2[x]/(x^2)")
     M = minimize_presentation(frobenius_pushforward(R, 1))
     assert M.gen_degrees == (0, 1)
-    cols = {tuple(str(p) for p in col) for col in M.relations}
-    assert cols == {("x", "0"), ("0", "x")}
+    cols = sorted([(t, str(p)) for t, p in col.items()] for col in M.relations)
+    assert cols == [[(0, "x")], [(1, "x")]]
 
 
 def test_pushforward_exponent_bookkeeping():
@@ -210,8 +210,8 @@ def test_pushforward_exponent_bookkeeping():
     degs, cols = pushforward_presentation(R, 2)
     assert degs == [0, 1]
     # x^0 * x^2 = (x)^2 * 1 and x^1 * x^2 = (x)^2 * x
-    assert [str(p) for p in cols[0]] == ["x", "0"]
-    assert [str(p) for p in cols[1]] == ["0", "x"]
+    assert {t: str(p) for t, p in cols[0].items()} == {0: "x"}
+    assert {t: str(p) for t, p in cols[1].items()} == {1: "x"}
 
 
 def test_second_frobenius_power_rank():
@@ -309,6 +309,28 @@ def test_ghost_trivialization_char3_axes():
     assert rep.matches
     assert rep.lhs_totals == rep.rhs_totals
     assert not rep.stages_bound_satisfied  # e=1 does not exceed log2(2)
+
+
+@pytest.mark.parametrize(
+    "dsl, e, N, totals",
+    [
+        # three variables: the twisted terms 1 and 2 have three slots each
+        ("F2[x,y,z]/(x^2,y^2,z^2)", 2, 6, [1, 6, 18, 38, 66, 102, 146]),
+        ("F2[x,y]/(x*y,x^2+y^2)", 1, 4, [1, 4, 8, 12, 16]),
+    ],
+)
+def test_ghost_trivialization_pins_multi_slot_twists(dsl, e, N, totals):
+    rep = ghost_trivialization_check(parse_ring(dsl), e, N)
+    assert rep.lhs_totals == rep.rhs_totals == totals
+    assert rep.flags == []
+
+
+def test_frobenius_tor_on_three_variable_quadric():
+    R = parse_ring("F2[x,y,z]/(y^2+x*z)")
+    t = tor_dims(residue_field_module(R), frobenius_pushforward(R, 1), 4)
+    assert t.totals() == [6, 4, 4, 4, 4]
+    assert t.degree_bound == 21
+    assert t.flags == []
 
 
 def test_ghost_trivialization_char_zero_rejected():

@@ -65,9 +65,9 @@ def test_verify_d_squared_and_corrupted_sign():
     # corrupt one sign of the middle differential
     bad_maps = dict(K.complex.maps)
     f = bad_maps[2]
-    entries = [list(row) for row in f.entries]
-    entries[0][0] = -entries[0][0]
-    bad_maps[2] = GradedModuleMap(f.source, f.target, entries)
+    columns = [dict(col) for col in f.columns]
+    columns[0][0] = -columns[0][0]
+    bad_maps[2] = GradedModuleMap(f.source, f.target, columns)
     bad = GradedChainComplex(R, 0, 3, dict(K.complex.modules), bad_maps)
     assert not verify_d_squared(bad)
 
@@ -192,7 +192,7 @@ def test_minimize_presentation_drops_dead_generator():
     M = PresentedModule(
         R,
         (1, 2),
-        [(amb.var(0), amb.const(-1))],
+        [{0: amb.var(0), 1: amb.const(-1)}],
     )
     Mm = minimize_presentation(M)
     assert Mm.gen_degrees == (1,)
@@ -239,12 +239,22 @@ def test_tor_against_trivial_complex_is_convolution():
     R = parse_ring("QQ[x,y]/(x*y)")
     k = residue_field_module(R)
     terms = [trivial_action_module(R, (0,)), trivial_action_module(R, (2,))]
-    maps = [[[R.ambient.zero()]]]
+    maps = [[{}]]
     C = TorCoefficients(terms, maps)
     t = tor_dims(k, C, 3)
     betti = minimal_resolution(k, 3).betti.totals()
     expected = [betti[0], betti[1] + betti[0], betti[2] + betti[1], betti[3] + betti[2]]
     assert t.totals() == expected
+
+
+def test_tor_coefficients_check_their_maps():
+    R = parse_ring("QQ[x,y]/(x*y)")
+    x = R.ambient.var(0)
+    terms = [trivial_action_module(R, (0,)), trivial_action_module(R, (1,))]
+    assert TorCoefficients(terms, [[{0: x}]]).maps == [({0: x},)]
+    for maps in ([], [[{1: x}]], [[{0: x * x}]]):  # missing, outside rank, degree
+        with pytest.raises(ValidationError):
+            TorCoefficients(terms, maps)
 
 
 def test_betti_table_text_and_json():
