@@ -48,15 +48,30 @@ def free_strand_basis(module: GradedFreeModule, j: int):
     return out
 
 
-def multiply_strand_vector(R: RingPresentation, labels, index, vec, poly):
-    """Multiply a sparse strand vector by a homogeneous polynomial.
+def strand_vector_column(R: RingPresentation, labels, vec):
+    """The polynomial column {generator: poly} of a sparse strand vector;
+    labels are the (generator, standard monomial) labels of its strand."""
+    zero, col = R.ambient.zero(), {}
+    for k, c in vec.items():
+        t, b = labels[k]
+        col[t] = col.get(t, zero) + R.ambient.monomial(b, c)
+    return col
 
-    labels are the (generator, standard monomial) labels of vec's
-    strand and index maps those of the target strand to positions;
-    returns the sparse coordinates in the target strand.
+
+def _multiples(R: RingPresentation, columns, degrees, scale, j, index):
+    """Strand coordinates of the standard-monomial multiples of columns.
+
+    columns are polynomial columns of the given module degrees; for each
+    in turn, yields b * column for every standard monomial b that lands
+    it in degree j, in quotient_basis order.  index maps the labels of
+    the degree-j strand of the columns' target to positions.
     """
-    parts = [labels[k] + (poly.scale(c),) for k, c in vec.items()]
-    return groebner.nf_coordinates(R, parts, index)
+    for degree, col in zip(degrees, columns):
+        rem = j - degree
+        if rem < 0 or rem % scale:
+            continue
+        for b in groebner.quotient_basis(R, rem // scale):
+            yield groebner.nf_coordinates(R, [(t, b, p) for t, p in col.items()], index)
 
 
 def _columns(columns, target_degrees, scale, source_degrees=None):
@@ -118,28 +133,25 @@ class GradedModuleMap:
         )
 
     def strand_columns(self, j: int):
-        """The degree-j strand as sparse columns {target index: coeff}.
+        """The degree-j strand as sparse columns {target basis index: coeff}.
 
-        Returns (columns, source basis, target basis); column k is the
-        image of source basis element k, and entries that cancel to
-        zero are left out.
+        Column k is the image of the k-th element of the source strand
+        basis, free_strand_basis(source, j); entries that cancel to zero
+        are left out.
         """
-        src = free_strand_basis(self.source, j)
         tgt = free_strand_basis(self.target, j)
-        tix = {lab: i for i, lab in enumerate(tgt)}
-        columns = [
-            groebner.nf_coordinates(
-                self.ring, [(i, b, p) for i, p in self.columns[t].items()], tix
-            )
-            for t, b in src
-        ]
-        return columns, src, tgt
+        index = {lab: i for i, lab in enumerate(tgt)}
+        source = self.source
+        return list(
+            _multiples(self.ring, self.columns, source.degrees, source.scale, j, index)
+        )
 
     def strand_matrix(self, j: int):
         """Dense matrix of the degree-j strand (rows: target basis)."""
-        columns, src, tgt = self.strand_columns(j)
+        src = free_strand_basis(self.source, j)
+        tgt = free_strand_basis(self.target, j)
         rows = [[self.ring.field.zero] * len(src) for _ in tgt]
-        for cidx, col in enumerate(columns):
+        for cidx, col in enumerate(self.strand_columns(j)):
             for r, c in col.items():
                 rows[r][cidx] = c
         return rows, src, tgt
@@ -261,10 +273,11 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
         for j in range(D + 1)
     }
     strands = (
-        ((i, j), C.maps[i].strand_columns(j)[0])
+        ((i, j), C.maps[i].strand_columns(j))
         for i in terms
         if i in C.maps
         for j in range(D + 1)
+        if dims[(i, j)] and dims.get((i - 1, j))
     )
     entries = linalg.homology(dims, strands, C.ring.field)
     return HomologyTable(entries, C.lo, C.hi, D, warnings)
@@ -308,32 +321,34 @@ def trivial_action_module(R: RingPresentation, degrees, scale=1) -> PresentedMod
 
 
 def minimize_presentation(M: PresentedModule) -> PresentedModule:
-    """Cancel unit relation entries so the surviving generators are minimal."""
-    gens = list(M.gen_degrees)
-    cols = [dict(col) for col in M.relations]
+    """Cancel unit relation entries so the surviving generators are minimal.
+
+    One pass: a relation with a unit entry (at its least such generator
+    t) clears t from every other relation and is dropped.  A relation
+    already passed has entries of positive degree only, and it loses a
+    multiple of the pivot by its entry at t, so it never gains a unit.
+    """
     R = M.ring
     zero = R.ambient.zero()
-    while True:
-        units = (
-            (c, t) for c, v in enumerate(cols) for t, p in v.items() if p.degree() == 0
-        )
-        hit = next(units, None)
-        if hit is None:
-            return PresentedModule(R, gens, cols, M.scale)
-        c, t = hit
-        pivot_col = cols.pop(c)
-        inv = R.field.inv(pivot_col[t].constant_term())
+    cols = [dict(col) for col in M.relations]
+    dead = set()
+    for pivot in cols:
+        t = min((t for t, p in pivot.items() if p.degree() == 0), default=None)
+        if t is None:
+            continue
+        inv = R.field.inv(pivot[t].constant_term())
         for col in cols:
-            if t in col:
+            if col is not pivot and t in col:
                 factor = col[t].scale(inv)
-                for u, p in pivot_col.items():
+                for u, p in pivot.items():
                     col[u] = col.get(u, zero) - p * factor
-        gens.pop(t)
-        # drop generator t and the entries that cancelled, keys ascending
-        cols = [
-            {u - (u > t): v[u] for u in sorted(v) if u != t and not v[u].is_zero()}
-            for v in cols
-        ]
+        dead.add(t)
+        pivot.clear()
+    # every dead generator's entries are now zero; renumber the survivors
+    alive = [t for t in range(len(M.gen_degrees)) if t not in dead]
+    new = {t: k for k, t in enumerate(alive)}
+    cols = [{new[u]: p for u, p in col.items() if p} for col in cols]
+    return PresentedModule(R, [M.gen_degrees[t] for t in alive], cols, M.scale)
 
 
 class ModuleStrands:
@@ -364,14 +379,10 @@ class _Strand:
         self.free = free_strand_basis(M.free_module(), j)
         self.index = {lab: i for i, lab in enumerate(self.free)}
         self.reducer = linalg.SpanReducer(self.field)
-        s = M.scale
-        for degree, col in zip(M.relation_degrees, M.relations):
-            rem = j - degree
-            if rem < 0 or rem % s:
-                continue
-            for b in groebner.quotient_basis(M.ring, rem // s):
-                parts = [(t, b, p) for t, p in col.items()]
-                self.reducer.add(groebner.nf_coordinates(self.ring, parts, self.index))
+        for vec in _multiples(
+            M.ring, M.relations, M.relation_degrees, M.scale, j, self.index
+        ):
+            self.reducer.add(vec)
         pivots = self.reducer.rows
         self.coords = [i for i in range(len(self.free)) if i not in pivots]
         self.position = {i: v for v, i in enumerate(self.coords)}
@@ -478,12 +489,16 @@ def minimal_resolution(
 ) -> ResolutionResult:
     """Minimal graded free resolution of M, truncated at (N, D).
 
-    Kernels are computed strand by strand in ascending internal degree;
-    minimal generators of each kernel are the vectors that enlarge the
-    span of variable multiples of the lower strands (greedy, tie-broken
-    by the deterministic column order of the nullspace routine).  Every
-    differential entry then lies in the irrelevant ideal, so the term
-    ranks are Betti numbers.
+    Kernels are computed strand by strand in ascending internal degree.
+    In degree j, the minimal generators of a kernel are the kernel
+    vectors that enlarge the span of the degree-j multiples of the
+    generators already found at lower degrees (greedy, tie-broken by the
+    deterministic column order of the nullspace routine).  That span is
+    m * K_{j-s}, the variable multiples of the kernel one ring degree
+    lower: by induction the generators found below j generate the kernel
+    below j, and R is generated in degree 1.  Every differential entry
+    then lies in the irrelevant ideal, so the term ranks are Betti
+    numbers.
 
     A conservative truncation flag is raised when new kernel generators
     appear exactly at the degree bound: the next degree could then hold
@@ -502,9 +517,6 @@ def minimal_resolution(
         )
 
     strands = ModuleStrands(M)
-    ambient = R.ambient
-    variables = R.variable_polys()
-
     degrees_per_term = [list(M.gen_degrees)]
     maps = []
     flags = []
@@ -516,52 +528,34 @@ def minimal_resolution(
         if not src_degrees:
             terminated = True
             break
-        jmin = min(src_degrees)
-        kernels = {}
-        free_cache = {}
-        newgens = []
+        new_degrees, columns = [], []
 
-        for j in range(jmin, D + 1):
+        for j in range(min(src_degrees), D + 1):
             free = free_strand_basis(current_free, j)
-            free_cache[j] = free
             if not free:
-                kernels[j] = []
                 continue
-            if step == 0:
-                st = strands.strand(j)
-                columns = [st.project({idx: fld.one}) for idx in range(len(free))]
+            if step:
+                images = maps[step - 1].strand_columns(j)
             else:
-                columns, _, _ = maps[step - 1].strand_columns(j)
-            K = linalg.nullspace(columns, fld)
-            kernels[j] = K
+                st = strands.strand(j)
+                images = [st.project({idx: fld.one}) for idx in range(len(free))]
+            K = linalg.nullspace(images, fld)
             if not K:
                 continue
+            index = {lab: i for i, lab in enumerate(free)}
             reducer = linalg.SpanReducer(fld)
-            prev = kernels.get(j - s, [])
-            if prev:
-                src = free_cache[j - s]
-                index = {lab: i for i, lab in enumerate(free)}
-                for v in prev:
-                    for xa in variables:
-                        reducer.add(multiply_strand_vector(R, src, index, v, xa))
-            for v in K:
-                if reducer.add(v):
-                    newgens.append((j, v, free))
+            for vec in _multiples(R, columns, new_degrees, s, j, index):
+                reducer.add(vec)
+            found = [v for v in K if reducer.add(v)]
+            new_degrees += [j] * len(found)
+            columns += [strand_vector_column(R, free, v) for v in found]
 
-        if not newgens:
+        if not new_degrees:
             terminated = True
             break
-        if any(j == D for j, _, _ in newgens):
+        if new_degrees[-1] == D:
             flags.append(f"syzygy-at-degree-bound:step-{step + 1}")
 
-        new_degrees = [j for j, _, _ in newgens]
-        columns = []
-        for j, v, free in newgens:
-            col = {}
-            for k, c in v.items():
-                t, b = free[k]
-                col[t] = col.get(t, ambient.zero()) + ambient.monomial(b, c)
-            columns.append(col)
         tgt_mod = GradedFreeModule(R, tuple(new_degrees), s)
         maps.append(GradedModuleMap(tgt_mod, current_free, columns))
         degrees_per_term.append(new_degrees)
@@ -644,17 +638,21 @@ def tor_dims(M: PresentedModule, N, homological: int, degree_bound=None) -> TorT
     unit = sM * sN // gcd(sM, sN)
     a, b = unit // sM, unit // sN
 
-    res = minimal_resolution(M, nmax + 1)
-    max_delta = max(
-        (max(res.complex.module(i).degrees, default=0) for i in range(nmax + 2)),
-        default=0,
-    )
-    max_n_gen = max((max(t.gen_degrees, default=0) for t in N.terms), default=0)
-    D = bounds.tor_degree(R, unit, a * max_delta + b * max_n_gen, degree_bound)
+    D = degree_bound
+    if D is None:
+        # the default window reads the generator degrees of a resolution
+        res = minimal_resolution(M, nmax + 1)
+        max_delta = max(
+            (max(res.complex.module(i).degrees, default=0) for i in range(nmax + 2)),
+            default=0,
+        )
+        max_n_gen = max((max(t.gen_degrees, default=0) for t in N.terms), default=0)
+        D = bounds.tor_degree(R, unit, a * max_delta + b * max_n_gen)
     # complete through D // a + 1, above every degree the window reads,
-    # so the resolution's own bound flags describe no Tor entry
-    need_res_D = D // a + 1
-    if need_res_D > res.betti.degree_bound:
+    # so the resolution's own bound flags describe no Tor entry; never
+    # below a generator of M, which minimal_resolution rejects
+    need_res_D = max(D // a + 1, max(M.gen_degrees, default=0))
+    if degree_bound is not None or need_res_D > res.betti.degree_bound:
         res = minimal_resolution(M, nmax + 1, need_res_D)
 
     strands = [ModuleStrands(t) for t in N.terms]

@@ -107,22 +107,22 @@ def koszul_homology_annihilated(K: KoszulComplex, degree_bound=None) -> bool:
             if dmap is None:
                 cycles = [{idx: fld.one} for idx in range(len(basis))]
             else:
-                columns, _, _ = dmap.strand_columns(j)
-                cycles = linalg.nullspace(columns, fld)
+                cycles = linalg.nullspace(dmap.strand_columns(j), fld)
             if not cycles:
                 continue
             boundaries = linalg.SpanReducer(fld)
             if nxt is not None:
-                columns, _, _ = nxt.strand_columns(j + 1)
-                for col in columns:
+                for col in nxt.strand_columns(j + 1):
                     boundaries.add(col)
-            tgt = homalg.free_strand_basis(module, j + module.scale)
-            index = {lab: k for k, lab in enumerate(tgt)}
-            for xa in R.variable_polys():
-                for z in cycles:
-                    w = homalg.multiply_strand_vector(R, basis, index, z, xa)
-                    if not boundaries.contains(w):
-                        return False
+            # one generator of degree j per cycle, mapped onto it
+            z_map = homalg.GradedModuleMap(
+                homalg.GradedFreeModule(R, (j,) * len(cycles), module.scale),
+                module,
+                [homalg.strand_vector_column(R, basis, z) for z in cycles],
+            )
+            multiples = z_map.strand_columns(j + module.scale)
+            if not all(map(boundaries.contains, multiples)):
+                return False
     return True
 
 

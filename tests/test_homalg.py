@@ -123,6 +123,10 @@ def test_axes_resolution_matches_poincare_series():
         ("F2[x]/(x^2)", 4, [1, 1, 1, 1, 1]),
         ("QQ[x,y]/(x*y)", 4, [1, 2, 2, 2, 2]),
         ("QQ[x,y]", 3, [1, 2, 1, 0]),
+        # syzygies more than one degree above the last ones found
+        ("QQ[x]/(x^3)", 4, [1, 1, 1, 1, 1]),
+        ("F2[x,y]/(x^2,y^3)", 4, [1, 2, 3, 4, 5]),
+        ("F3[x,y]/(x*y,x^3+y^3)", 4, [1, 2, 3, 4, 5]),
     ],
 )
 def test_betti_numbers_match_brute_force_oracle(dsl, steps, expected):
@@ -257,6 +261,23 @@ def test_tor_coefficients_check_their_maps():
             TorCoefficients(terms, maps)
 
 
+def test_tor_with_given_degree_bound_resolves_once(monkeypatch):
+    # the window through D 4 reads the resolution through D 5 only
+    from ringkit import homalg
+
+    calls = []
+    resolve = homalg.minimal_resolution
+
+    def recording(M, homological, internal=None):
+        calls.append((homological, internal))
+        return resolve(M, homological, internal)
+
+    monkeypatch.setattr(homalg, "minimal_resolution", recording)
+    k = residue_field_module(parse_ring("QQ[x,y,z]/(x*y,y*z,x^3)"))
+    assert tor_dims(k, k, 4, 4).totals() == [1, 3, 6, 12, 13]
+    assert calls == [(5, 5)]
+
+
 def test_betti_table_text_and_json():
     R = parse_ring("QQ[x,y]")
     table = minimal_resolution(residue_field_module(R), 3).betti
@@ -285,6 +306,18 @@ def test_beta_zero_row_matches_minimal_generators_of_scaled_module():
         if i == 0
     )
     assert row0 == sorted(minimize_presentation(M).gen_degrees)
+
+
+def test_minimized_second_frobenius_pushforward_keeps_121_generators():
+    from ringkit.ghost import frobenius_pushforward
+
+    M = frobenius_pushforward(parse_ring("F3[x,y,z]/(x*y-z^2)"), 2)
+    assert len(M.gen_degrees) == 729
+    Mm = minimize_presentation(M)
+    assert len(Mm.gen_degrees) == 121
+    betti = minimal_resolution(M, 1).betti
+    row0 = sorted(j for (i, j), n in betti.entries.items() for _ in range(n) if i == 0)
+    assert row0 == sorted(Mm.gen_degrees)
 
 
 def test_free_module_strands_respect_scale():
