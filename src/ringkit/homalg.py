@@ -66,11 +66,14 @@ def _multiples(R: RingPresentation, columns, degrees, scale, j, index):
     it in degree j, in quotient_basis order.  index maps the labels of
     the degree-j strand of the columns' target to positions.
     """
+    bases = {}  # remaining degree -> standard monomials
     for degree, col in zip(degrees, columns):
         rem = j - degree
         if rem < 0 or rem % scale:
             continue
-        for b in groebner.quotient_basis(R, rem // scale):
+        if rem not in bases:
+            bases[rem] = groebner.quotient_basis(R, rem // scale)
+        for b in bases[rem]:
             yield groebner.nf_coordinates(R, [(t, b, p) for t, p in col.items()], index)
 
 
@@ -489,16 +492,18 @@ def minimal_resolution(
 ) -> ResolutionResult:
     """Minimal graded free resolution of M, truncated at (N, D).
 
-    Kernels are computed strand by strand in ascending internal degree.
-    In degree j, the minimal generators of a kernel are the kernel
-    vectors that enlarge the span of the degree-j multiples of the
-    generators already found at lower degrees (greedy, tie-broken by the
-    deterministic column order of the nullspace routine).  That span is
-    m * K_{j-s}, the variable multiples of the kernel one ring degree
-    lower: by induction the generators found below j generate the kernel
-    below j, and R is generated in degree 1.  Every differential entry
-    then lies in the irrelevant ideal, so the term ranks are Betti
-    numbers.
+    Degrees are the outer loop and steps the inner one.  In degree j,
+    step s holds a basis of ker(d_s)_j; step 0 starts from the relation
+    span of M, which is ker(F_0 -> M)_j.  Step s seeds a SpanReducer
+    with the degree-j multiples of the F_{s+1} generators found below j,
+    each tagged with its position in the F_{s+1} strand.  Their span is
+    m * ker(d_s)_j, since by induction those generators generate the
+    kernel below j and R is generated in degree 1.  The kernel vectors
+    that enlarge it become the degree-j generators (greedy, in basis
+    order), so every differential entry lies in the irrelevant ideal
+    and the term ranks are Betti numbers.  The new generators are
+    independent of the seeds, so the tags left by the seeds that reduce
+    to zero are a basis of ker(d_{s+1})_j, which step s + 1 takes next.
 
     A conservative truncation flag is raised when new kernel generators
     appear exactly at the degree bound: the next degree could then hold
@@ -517,59 +522,38 @@ def minimal_resolution(
         )
 
     strands = ModuleStrands(M)
-    degrees_per_term = [list(M.gen_degrees)]
-    maps = []
-    flags = []
-    terminated = False
-    current_free = M.free_module()
-
-    for step in range(N):
-        src_degrees = degrees_per_term[step]
-        if not src_degrees:
-            terminated = True
-            break
-        new_degrees, columns = [], []
-
-        for j in range(min(src_degrees), D + 1):
-            free = free_strand_basis(current_free, j)
-            if not free:
-                continue
-            if step:
-                images = maps[step - 1].strand_columns(j)
-            else:
-                st = strands.strand(j)
-                images = [st.project({idx: fld.one}) for idx in range(len(free))]
-            K = linalg.nullspace(images, fld)
-            if not K:
-                continue
+    degrees = [list(M.gen_degrees)] + [[] for _ in range(N)]
+    columns = [[] for _ in range(N)]  # columns[step]: d_{step+1}
+    for j in range(min(M.gen_degrees, default=D + 1), D + 1):
+        kernel = strands.strand(j).reducer.rows.values()
+        for step in range(N):
+            free = free_strand_basis(GradedFreeModule(R, tuple(degrees[step]), s), j)
             index = {lab: i for i, lab in enumerate(free)}
-            reducer = linalg.SpanReducer(fld)
-            for vec in _multiples(R, columns, new_degrees, s, j, index):
+            width = len(free)
+            reducer = linalg.SpanReducer(fld, width)
+            seeds = _multiples(R, columns[step], degrees[step + 1], s, j, index)
+            for k, vec in enumerate(seeds):
+                vec[width + k] = fld.one
                 reducer.add(vec)
-            found = [v for v in K if reducer.add(v)]
-            new_degrees += [j] * len(found)
-            columns += [strand_vector_column(R, free, v) for v in found]
+            # a rejected kernel vector leaves a tag too, but no relation
+            relations = list(reducer.relations)
+            for v in kernel:
+                if reducer.add(v):
+                    degrees[step + 1].append(j)
+                    columns[step].append(strand_vector_column(R, free, v))
+            kernel = relations
 
-        if not new_degrees:
-            terminated = True
-            break
-        if new_degrees[-1] == D:
-            flags.append(f"syzygy-at-degree-bound:step-{step + 1}")
-
-        tgt_mod = GradedFreeModule(R, tuple(new_degrees), s)
-        maps.append(GradedModuleMap(tgt_mod, current_free, columns))
-        degrees_per_term.append(new_degrees)
-        current_free = tgt_mod
-
-    modules = {
-        i: GradedFreeModule(R, tuple(degs), s)
-        for i, degs in enumerate(degrees_per_term)
-    }
-    cmaps = {i + 1: f for i, f in enumerate(maps)}
-    complex_ = GradedChainComplex(R, 0, len(degrees_per_term) - 1, modules, cmaps)
+    terminated = not degrees[N]
+    while len(degrees) > 1 and not degrees[-1]:
+        degrees.pop()
+    steps = range(1, len(degrees))
+    flags = [f"syzygy-at-degree-bound:step-{i}" for i in steps if degrees[i][-1] == D]
+    mods = {i: GradedFreeModule(R, tuple(degs), s) for i, degs in enumerate(degrees)}
+    maps = {i: GradedModuleMap(mods[i], mods[i - 1], columns[i - 1]) for i in steps}
+    complex_ = GradedChainComplex(R, 0, len(degrees) - 1, mods, maps)
 
     betti_entries = {}
-    for i, degs in enumerate(degrees_per_term):
+    for i, degs in enumerate(degrees):
         for j in degs:
             betti_entries[(i, j)] = betti_entries.get((i, j), 0) + 1
     betti = BettiTable(betti_entries, N, D, flags, s, terminated)

@@ -2,15 +2,17 @@
 
 Vectors and matrix columns are sparse {index: coeff} dicts, and no
 result holds a zero entry.  One echelon engine, `SpanReducer`, serves
-every incremental span, kernel and solve: `nullspace` is built on it,
-and so are the dense adapters `rref` and `rank`, which have no caller
-in the package and are kept only because the benchmark's tracer looks
-them up by name.  `sparse_rank` is the one-shot rank of homology
-strands, Tor and the simplicial complexes; its Markowitz pivoting
-(shortest row, least populated column) keeps their incidence-like
-columns from filling in, which the engine's fixed least-index pivots
-do not.  `homology` turns those strand ranks into homology dimensions
-for all three.
+every incremental span, kernel and solve; the tags of the vectors it
+rejects are the relations among those added, from which minimal
+resolutions read each next kernel.  `nullspace` is built on it, and so
+are the dense adapters `rref` and `rank`, which have no caller in the
+package and are kept only because the benchmark's tracer looks them up
+by name.  `sparse_rank` is the one-shot rank of homology strands, Tor
+and the simplicial complexes; its Markowitz pivoting (shortest row,
+least populated column) keeps their incidence-like columns from
+filling in, which the engine's fixed least-index pivots do not.
+`homology` turns those strand ranks into homology dimensions for all
+three.
 """
 
 from __future__ import annotations
@@ -26,11 +28,19 @@ class SpanReducer:
     the span; reduce() returns the residual of a vector against the
     current span, which is zero at every pivot and so does not depend
     on the order in which the rows were added.
+
+    With a width, keys at or above it are tags that never become
+    pivots.  A vector whose residual has no key below the width is
+    rejected, and its residual tag, keyed from 0, joins `relations`: if
+    the k-th vector added is tagged {width + k: 1}, each relation holds
+    the coefficients of a linear dependency among the vectors added.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, width=None):
         self.field = field
+        self.width = width
         self.rows = {}  # pivot index -> sparse row, 1 at the pivot
+        self.relations = []  # residual tags of the rejected vectors
 
     def reduce(self, vec):
         """Residual of the sparse vector vec (left unchanged) as a new dict.
@@ -68,8 +78,11 @@ class SpanReducer:
         red = self.reduce(vec)
         if not red:
             return False
-        fld = self.field
         p = min(red)
+        if self.width is not None and p >= self.width:
+            self.relations.append({k - self.width: c for k, c in red.items()})
+            return False
+        fld = self.field
         inv = fld.inv(red[p])
         self.rows[p] = {k: fld.mul(inv, c) for k, c in red.items()}
         return True

@@ -217,6 +217,31 @@ def test_span_reducer_against_rank(field):
             )
 
 
+
+@pytest.mark.parametrize("field", ENGINE_FIELDS)
+def test_span_reducer_tags_give_a_basis_of_the_relations(field):
+    # vector k carries the tag {size + k: 1}; the residual tags of the
+    # rejected vectors must span every linear dependency among them
+    rng = random.Random(field.characteristic + 11)
+    for _ in range(40):
+        vecs, _ = random_sparse_matrix(field, rng)
+        size = len(vecs[0])
+        reducer = SpanReducer(field, size)
+        for k, v in enumerate(vecs):
+            vec = {i: c for i, c in enumerate(v) if not field.is_zero(c)}
+            vec[size + k] = field.one
+            reducer.add(vec)
+        relations = [densify(r, len(vecs), field) for r in reducer.relations]
+        assert len(relations) == len(vecs) - oracle_rank(vecs, field)
+        if relations:
+            assert oracle_rank(relations, field) == len(relations)
+        for r in relations:
+            for i in range(size):
+                acc = field.zero
+                for k, v in enumerate(vecs):
+                    acc = field.add(acc, field.mul(r[k], v[i]))
+                assert field.is_zero(acc)
+
 def random_complex(field, rng, length):
     """Term sizes and dense differentials d_1..d_length of a random complex.
 

@@ -137,6 +137,58 @@ def test_betti_numbers_match_brute_force_oracle(dsl, steps, expected):
     assert engine == expected
 
 
+def test_module_that_minimizes_to_zero_resolves_as_terminated():
+    # a unit relation kills the only generator, so the resolution is 0
+    R = parse_ring("QQ[x,y]/(x^2,y^2)")
+    M = PresentedModule(R, (0,), [{0: R.ambient.one()}])
+    for N in range(4):
+        res = minimal_resolution(M, N)
+        assert res.terminated, N
+        assert res.betti.totals() == [0] * (N + 1)
+
+
+@pytest.mark.parametrize(
+    "dsl,totals",
+    [
+        ("F2[x,y,z]/(x^2,y^2,z^2)", [8, 24, 48, 80]),
+        ("F3[x,y,z]/(x*y-z^2)", [13, 8, 8, 8]),
+        ("F2[x,y,z]/(y^2+x*z)", [6, 4, 4, 4]),
+        ("F3[x,y]/(x*y)", [5, 4, 4, 4]),
+    ],
+)
+def test_frobenius_pushforward_resolution_is_a_minimal_complex(dsl, totals):
+    # scale p > 1, and step 0 starts from the relation span of the pushforward
+    from ringkit.ghost import frobenius_pushforward
+
+    res = minimal_resolution(frobenius_pushforward(parse_ring(dsl), 1), 3)
+    assert res.betti.totals() == totals
+    assert verify_d_squared(res.complex)
+    assert resolution_is_minimal(res)
+
+
+@pytest.mark.parametrize(
+    "dsl",
+    [
+        "QQ[x]/(x^3)",
+        "F2[x,y]/(x^2,y^3)",
+        "QQ[x,y,z]/(x*y,y*z,x^3)",
+        "F3[x,y]/(x*y,x^3+y^3)",
+    ],
+)
+@pytest.mark.parametrize("D", [3, 5])
+def test_resolution_through_d_is_a_prefix_of_a_wider_window(dsl, D):
+    # the generators and differential columns found through degree D do
+    # not depend on how far above D the window reaches
+    k = residue_field_module(parse_ring(dsl))
+    small = minimal_resolution(k, 4, D)
+    wide = minimal_resolution(k, 4, D + 3)
+    assert small.betti.entries == {
+        (i, j): n for (i, j), n in wide.betti.entries.items() if j <= D
+    }
+    for i, f in small.complex.maps.items():
+        assert wide.complex.maps[i].columns[: len(f.columns)] == f.columns, i
+
+
 def test_degree_bound_below_generator_degree_rejected():
     R = parse_ring("QQ[x,y]/(x*y)")
     M = PresentedModule(R, (0, 3), ())
