@@ -12,7 +12,8 @@ homogeneous, and graded orders keep degree-truncated reasoning sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from . import linalg
 from .errors import PreconditionError, ValidationError
@@ -30,6 +31,11 @@ from .polycore import (
 )
 
 _ORDER_KEYS = {"degrevlex": degrevlex_key, "deglex": deglex_key}
+# min-heap keys: ascending here is descending in the order key
+_HEAP_KEYS = {
+    "degrevlex": lambda m: (-sum(m), m[::-1]),
+    "deglex": lambda m: (-sum(m), tuple(map(neg, m))),
+}
 
 
 @dataclass(frozen=True)
@@ -64,17 +70,30 @@ def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
     return f.scale(f.ring.field.inv(f.terms[leading_monomial(f, order)]))
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
-    """Remainder of f under full multivariate division by basis."""
-    ring = f.ring
-    fld = ring.field
-    lms = [(leading_monomial(g, order), g) for g in basis if not g.is_zero()]
+def normal_form(f: Polynomial, basis, order: MonomialOrder, lms=None) -> Polynomial:
+    """Remainder of f under full multivariate division by basis.
+
+    The largest remaining term is cancelled by the first basis element
+    whose leading monomial (from lms, when given) divides it, or moved
+    to the remainder.  Terms wait in a heap, keyed once on entry, so the
+    steps and the remainder are those of a max over the terms; a term
+    that cancels leaves a stale entry, skipped when it reaches the top.
+    """
+    fld = f.ring.field
+    hkey = _HEAP_KEYS[order.kind]
+    if lms is None:
+        lms = [leading_monomial(g, order) for g in basis]
+    divisors = [(lm, g) for lm, g in zip(lms, basis) if lm is not None]
     remainder = {}
     work = dict(f.terms)
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        for lm, g in lms:
+    heap = [(hkey(m), m) for m in work]
+    heapify(heap)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue  # the term cancelled after it was pushed
+        for lm, g in divisors:
             if mono_divides(lm, m):
                 factor = mono_quot(m, lm)
                 scale = fld.div(c, g.terms[lm])
@@ -82,6 +101,8 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
                     if gm == lm:
                         continue
                     t = mono_mul(gm, factor)
+                    if t not in work:
+                        heappush(heap, (hkey(t), t))
                     s = fld.sub(work.get(t, fld.zero), fld.mul(scale, gc))
                     if fld.is_zero(s):
                         work.pop(t, None)
@@ -90,7 +111,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder) -> Polynomial:
                 break
         else:
             remainder[m] = c
-    return Polynomial(ring, remainder)
+    return Polynomial(f.ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -115,8 +136,10 @@ def _autoreduce(basis, lms, order: MonomialOrder):
         if not any(mono_divides(lms[j], lms[i]) for j in minimal):
             minimal.append(i)
     kept = [basis[i] for i in minimal]
+    klms = [lms[i] for i in minimal]
     return [
-        normal_form(g, kept[:n] + kept[n + 1 :], order) for n, g in enumerate(kept)
+        normal_form(g, kept[:n] + kept[n + 1 :], order, klms[:n] + klms[n + 1 :])
+        for n, g in enumerate(kept)
     ]
 
 
@@ -126,7 +149,8 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     Classical Buchberger with the coprime-leading-term criterion and the
     chain criterion; the reduced output makes the computation idempotent.
     Pairs wait in a heap keyed by (order key of their lcm, pair), pushed
-    once when their later element enters the basis.
+    once when their later element enters the basis.  Every reduction is
+    passed the leading monomials kept beside the basis.
     """
     basis, lms, pairs = [], [], []
 
@@ -159,7 +183,7 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
         if chain:
             continue
         s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
+        r = normal_form(s, basis, order, lms)
         if not r.is_zero():
             enter(monic(r, order))
     return _autoreduce(basis, lms, order)
@@ -170,9 +194,7 @@ class GroebnerBasis:
     ring: PolyRing
     polys: tuple
     order: MonomialOrder
-
-    def leading_monomials(self):
-        return [leading_monomial(g, self.order) for g in self.polys]
+    lms: tuple
 
 
 class IdealHandle:
@@ -195,13 +217,14 @@ class IdealHandle:
     @property
     def groebner(self) -> GroebnerBasis:
         if self._gb is None:
-            self._gb = GroebnerBasis(
-                self.ring, tuple(buchberger(self.gens, self.order)), self.order
-            )
+            polys = tuple(buchberger(self.gens, self.order))
+            lms = tuple(leading_monomial(g, self.order) for g in polys)
+            self._gb = GroebnerBasis(self.ring, polys, self.order, lms)
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return normal_form(f, self.groebner.polys, self.order)
+        gb = self.groebner
+        return normal_form(f, gb.polys, self.order, gb.lms)
 
 
 def member(f: Polynomial, ideal: IdealHandle) -> bool:
@@ -309,7 +332,7 @@ def quotient_basis(R: RingPresentation, degree: int):
     cache = R._cache.setdefault(("qbasis", R.order_kind), {})
     if degree not in cache:
         order = ring_ideal(R).order
-        lms = ring_groebner(R).leading_monomials()
+        lms = ring_groebner(R).lms
         units = list(monomials_of_degree(R.embdim, 1))
         start = degree
         while start > 0 and start - 1 not in cache:
@@ -338,7 +361,7 @@ def krull_dim(R: RingPresentation) -> int:
     key = ("dim", R.order_kind)
     if key in R._cache:
         return R._cache[key]
-    lms = ring_groebner(R).leading_monomials()
+    lms = ring_groebner(R).lms
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lms]
     n = R.embdim
     best = 0

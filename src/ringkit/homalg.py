@@ -38,13 +38,14 @@ class GradedFreeModule:
 
 def free_strand_basis(module: GradedFreeModule, j: int):
     """Basis of the degree-j strand: (generator index, standard monomial)."""
-    out = []
+    out, bases = [], {}  # remaining degree -> standard monomials
     for t, delta in enumerate(module.degrees):
         rem = j - delta
         if rem < 0 or rem % module.scale:
             continue
-        for b in groebner.quotient_basis(module.ring, rem // module.scale):
-            out.append((t, b))
+        if rem not in bases:
+            bases[rem] = groebner.quotient_basis(module.ring, rem // module.scale)
+        out.extend((t, b) for b in bases[rem])
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 
 from .errors import DSLError, ValidationError
 
@@ -159,7 +160,7 @@ def field_name(field) -> str:
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_deg(m) -> int:
@@ -167,16 +168,16 @@ def mono_deg(m) -> int:
 
 
 def mono_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quot(m, d):
     """Exponent quotient m / d (assumes d divides m)."""
-    return tuple(a - b for a, b in zip(m, d))
+    return tuple(map(sub, m, d))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomials_of_degree(nvars: int, d: int):

@@ -106,6 +106,41 @@ def oracle_normal_form(f, basis, order):
         f = nxt
 
 
+def oracle_division(f, basis, order):
+    """Full division by basis, taking each next term as a max over them.
+
+    The classical loop: the largest remaining term is cancelled by the
+    first basis element whose leading monomial divides it, or moved to
+    the remainder, so the remainder's terms come out largest first.
+    """
+    from ringkit.polycore import Polynomial, mono_divides, mono_mul, mono_quot
+
+    fld = f.ring.field
+    lms = [(_lm(g, order), g) for g in basis if not g.is_zero()]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        for lm, g in lms:
+            if mono_divides(lm, m):
+                factor = mono_quot(m, lm)
+                scale = fld.div(c, g.terms[lm])
+                for gm, gc in g.terms.items():
+                    if gm == lm:
+                        continue
+                    t = mono_mul(gm, factor)
+                    s = fld.sub(work.get(t, fld.zero), fld.mul(scale, gc))
+                    if fld.is_zero(s):
+                        work.pop(t, None)
+                    else:
+                        work[t] = s
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.ring, remainder)
+
+
 def naive_buchberger(gens, order):
     """S-polynomial closure with no selection strategy or criteria."""
     from ringkit.groebner import monic, s_polynomial
@@ -177,7 +212,7 @@ def _standard_monomials(R, d):
 
     if d < 0:
         return []
-    lms = groebner.ring_groebner(R).leading_monomials()
+    lms = groebner.ring_groebner(R).lms
     return [
         m
         for m in monomials_of_degree(R.embdim, d)

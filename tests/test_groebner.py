@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import degreewise_member, naive_buchberger
+from oracles import degreewise_member, naive_buchberger, oracle_division
 from ringkit import parse_ring
 from ringkit.errors import PreconditionError
 from ringkit.groebner import (
@@ -10,6 +11,7 @@ from ringkit.groebner import (
     DEGREVLEX,
     IdealHandle,
     MonomialOrder,
+    _HEAP_KEYS,
     buchberger,
     ideal_power,
     ideal_product,
@@ -18,6 +20,7 @@ from ringkit.groebner import (
     krull_dim,
     member,
     minimal_generator_count,
+    normal_form,
     quotient_basis,
     ring_groebner,
 )
@@ -171,7 +174,7 @@ def test_quotient_basis_examples():
         for kind in ("degrevlex", "deglex"):
             Rk = RingPresentation(R.field, R.variables, R.generators, kind)
             order = MonomialOrder(kind)
-            lms = ring_groebner(Rk).leading_monomials()
+            lms = ring_groebner(Rk).lms
             for d in (4, 0, 2, 7, 5):
                 brute = [
                     m
@@ -204,6 +207,66 @@ def test_deglex_vs_degrevlex_keys():
     assert DEGLEX.key((2, 1, 0)) > DEGLEX.key((1, 2, 0))
     assert DEGLEX.key((1, 0, 1)) > DEGLEX.key((0, 2, 0))
     assert DEGREVLEX.key((1, 0, 1)) < DEGREVLEX.key((0, 2, 0))
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+@pytest.mark.parametrize("kind", ["degrevlex", "deglex"])
+def test_heap_keys_sort_like_order_keys_descending(nvars, kind):
+    order = MonomialOrder(kind)
+    monos = [m for d in range(5) for m in monomials_of_degree(nvars, d)]
+    by_heap = sorted(monos, key=_HEAP_KEYS[kind])
+    assert by_heap == sorted(monos, key=order.key, reverse=True)
+
+
+def _random_poly(rng, R, nterms, max_deg):
+    fld = R.field
+    terms = {}
+    for _ in range(nterms):
+        d = rng.randint(0, max_deg)
+        m = rng.choice(list(monomials_of_degree(R.nvars, d)))
+        if fld.characteristic:
+            c = rng.randint(1, fld.characteristic - 1)
+        else:
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+        terms[m] = c
+    return R.poly(terms)
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "deglex"])
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_normal_form_matches_max_based_division(kind, p):
+    # random bases, which are not Groebner bases, and leading
+    # coefficients other than 1: same terms in the same order
+    field = QQ if p == 0 else PrimeField(p)
+    order = MonomialOrder(kind)
+    rng = random.Random(f"division:{kind}:{p}")
+    for case in range(60):
+        R = PolyRing(field, tuple(f"x{i}" for i in range(rng.randint(2, 4))))
+        basis = [
+            _random_poly(rng, R, rng.randint(1, 4), 3)
+            for _ in range(rng.randint(1, 4))
+        ]
+        f = _random_poly(rng, R, rng.randint(1, 8), 5)
+        got = normal_form(f, basis, order)
+        want = oracle_division(f, basis, order)
+        assert list(got.terms.items()) == list(want.terms.items()), (case, f, basis)
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, DEGLEX])
+def test_normal_form_term_that_cancels_and_returns(order):
+    # reducing x^2 cancels the z^2 of f and reducing x*y brings it back;
+    # in x^2 + z^2 + z the cancelled z^2 is a stale entry above z
+    R = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = R.var(0), R.var(1), R.var(2)
+    basis = [x * x + z * z, x * y - z * z]
+    cases = [x * x + x * y + z * z, x * x + z * z + z, (x * x).scale(2) + x * y]
+    for f in cases:
+        got = normal_form(f, basis, order)
+        assert list(got.terms.items()) == list(
+            oracle_division(f, basis, order).terms.items()
+        )
+    assert normal_form(x * x + x * y + z * z, basis, order) == z * z
+    assert normal_form(x * x + z * z + z, basis, order) == z
 
 
 def test_membership_agrees_across_orders():
