@@ -39,11 +39,9 @@ def resolution_degree(M, N: int, D=None) -> int:
     return N * _step(M.ring) * s + max(M.gen_degrees, default=0) + 2 * s
 
 
-def tor_degree(R, unit: int, top: int, D=None) -> int:
-    """Tor's window in the common grading unit; top is the largest degree
-    of a resolution generator plus that of a coefficient generator."""
-    if D is not None:
-        return D
+def tor_degree(R, unit: int, top: int) -> int:
+    """Tor's default window in the common grading unit; top is the largest
+    degree of a resolution generator plus that of a coefficient generator."""
     return top + unit * (_step(R) + 2)
 
 
@@ -53,6 +51,13 @@ def koszul_degree(K, D=None) -> int:
     if D is not None:
         return D
     return sum(f.degree() for f in K.sequence) + 8 * _step(K.ring) + 2
+
+
+def contracting_power(R, j_max=None) -> int:
+    """The largest power of a self-map of R tested for a vanishing
+    linear part: the embedding dimension, since the conormal matrix is
+    embdim x embdim and so nilpotent, if at all, by that power."""
+    return max(1, R.embdim) if j_max is None else j_max
 
 
 def aq_degree(D=None) -> int:

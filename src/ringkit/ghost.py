@@ -132,8 +132,7 @@ def is_contracting(phi: RingEndomap, j_max: int | None = None):
     embedding dimension, beyond which no new vanishing can appear.
     """
     R = phi.source
-    if j_max is None:
-        j_max = max(1, R.embdim)
+    j_max = bounds.contracting_power(R, j_max)
     if j_max < 1:
         raise PreconditionError("contracting test needs j_max >= 1")
     fld = R.field
@@ -421,7 +420,7 @@ def ghost_report(phi: RingEndomap, j_max: int | None = None) -> GhostReport:
     """
     R = phi.source
     matrix, zero = conormal_matrix(phi)
-    jbound = j_max if j_max is not None else max(1, R.embdim)
+    jbound = bounds.contracting_power(R, j_max)
     j = is_contracting(phi, jbound)
     cls = classify(R)
     kg = ci_koszul_ghost(phi)

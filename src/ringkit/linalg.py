@@ -4,15 +4,15 @@ Vectors and matrix columns are sparse {index: coeff} dicts, and no
 result holds a zero entry.  One echelon engine, `SpanReducer`, serves
 every incremental span, kernel and solve; the tags of the vectors it
 rejects are the relations among those added, from which minimal
-resolutions read each next kernel.  `nullspace` is built on it, and so
-are the dense adapters `rref` and `rank`, which have no caller in the
-package and are kept only because the benchmark's tracer looks them up
-by name.  `sparse_rank` is the one-shot rank of homology strands, Tor
-and the simplicial complexes; its Markowitz pivoting (shortest row,
-least populated column) keeps their incidence-like columns from
-filling in, which the engine's fixed least-index pivots do not.
-`homology` turns those strand ranks into homology dimensions for all
-three.
+resolutions read each next kernel and `nullspace` reads the kernel of
+a matrix.  The dense adapters `rref` and `rank` are built on it too;
+they have no caller in the package and are kept only because the
+benchmark's tracer looks them up by name.  `sparse_rank` is the
+one-shot rank of homology strands, Tor and the simplicial complexes;
+its Markowitz pivoting (shortest row, least populated column) keeps
+their incidence-like columns from filling in, which the engine's fixed
+least-index pivots do not.  `homology` turns those strand ranks into
+homology dimensions for all three.
 """
 
 from __future__ import annotations
@@ -94,44 +94,22 @@ class SpanReducer:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduced_rows(self):
-        """The reduced echelon basis of the span as {pivot: row}.
-
-        Pivots ascend.  Row p is {p: 1} plus the rest of the stored row
-        reduced, so it is 0 at every other pivot and unique for the span.
-        """
-        out = {}
-        for p in sorted(self.rows):
-            row = self.reduce({k: c for k, c in self.rows[p].items() if k != p})
-            row[p] = self.field.one
-            out[p] = row
-        return out
-
 
 def nullspace(columns, field):
     """Basis of the kernel of the matrix with the given sparse columns.
 
-    columns are {row: coeff} dicts, as for sparse_rank.  There is one
-    vector per free column f, in ascending order of f, and vectors come
-    out as dicts with ascending keys: 1 at f, and minus the reduced
-    echelon entry in column f at each pivot column.  This keeps every
-    downstream generator choice deterministic.
+    columns are {row: coeff} dicts, as for sparse_rank.  Column k goes
+    into a SpanReducer tagged {width + k: 1}, so each rejected column f
+    leaves the relation that writes it through the columns before it:
+    1 at f and 0 at every other rejected column.  The vectors come in
+    ascending order of f, as dicts with ascending keys, which keeps
+    every downstream generator choice deterministic.
     """
-    rows = {}
-    for j, col in enumerate(columns):
-        for r, c in col.items():
-            rows.setdefault(r, {})[j] = c
-    span = SpanReducer(field)
-    for row in rows.values():
-        span.add(row)
-    basis = {f: {} for f in range(len(columns)) if f not in span.rows}
-    for p, row in span.reduced_rows().items():
-        for f, c in row.items():
-            if f != p:
-                basis[f][p] = field.neg(c)
-    for f, vec in basis.items():
-        vec[f] = field.one
-    return list(basis.values())
+    width = 1 + max((r for col in columns for r in col), default=-1)
+    span = SpanReducer(field, width)
+    for k, col in enumerate(columns):
+        span.add({**col, width + k: field.one})
+    return [dict(sorted(rel.items())) for rel in span.relations]
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +117,22 @@ def nullspace(columns, field):
 
 
 def rref(rows, field):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
+    """Reduced row echelon form.  Returns (new_rows, pivot_columns).
+
+    Row p of the reduced form is {p: 1} plus the rest of the stored row
+    reduced, so it is 0 at every other pivot.
+    """
     span = SpanReducer(field)
     for row in rows:
         span.add(dict(enumerate(row)))
     ncols = range(len(rows[0]) if rows else 0)
-    red = span.reduced_rows()
-    return [[row.get(k, field.zero) for k in ncols] for row in red.values()], list(red)
+    pivots = sorted(span.rows)
+    out = []
+    for p in pivots:
+        row = span.reduce({k: c for k, c in span.rows[p].items() if k != p})
+        row[p] = field.one
+        out.append([row.get(k, field.zero) for k in ncols])
+    return out, pivots
 
 
 def rank(rows, field) -> int:

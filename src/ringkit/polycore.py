@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from operator import add, le, sub
 
 from .errors import DSLError, ValidationError
@@ -41,17 +42,13 @@ class RationalField:
     """The rationals; coefficients are Fractions in lowest terms."""
 
     characteristic = 0
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, value):
-        return Fraction(value)
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+        if isinstance(value, (int, Rational)):
+            return Fraction(value)
+        raise ValidationError(f"{value!r} is not a rational number")
 
     def add(self, a, b):
         return a + b
@@ -89,6 +86,9 @@ class RationalField:
 class PrimeField:
     """GF(p) for a prime p < 2**31; residues are ints in [0, p)."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p: int):
         if not isinstance(p, int) or not _is_prime(p):
             raise ValidationError(f"modulus {p} is not prime")
@@ -100,20 +100,12 @@ class PrimeField:
     def normalize(self, value):
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, Fraction):
+        if isinstance(value, Rational):
             den = value.denominator % self.p
             if den == 0:
                 raise ValidationError(f"{value} has no residue modulo {self.p}")
             return value.numerator * pow(den, -1, self.p) % self.p
-        return int(value) % self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+        raise ValidationError(f"{value!r} is not a rational number")
 
     def add(self, a, b):
         return (a + b) % self.p

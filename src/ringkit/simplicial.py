@@ -346,7 +346,6 @@ class SimplicialModule:
             raise ValidationError(f"unknown simplicial module {mode!r}")
         self.tsa = tsa
         self.D = degree_bound
-        self._labels = {}
         self._label_of = _LabelIndex()
         self._products = {}
         base = tsa.base
@@ -386,8 +385,21 @@ class SimplicialModule:
 
     def labels(self, n: int):
         """All labels at level n in the window, internal degree <= the bound."""
-        if n in self._labels:
-            return self._labels[n]
+        return self._walk(n, False)
+
+    def covering_labels(self, n: int):
+        """The labels at level n that survive the degeneracy quotient.
+
+        A label is degenerate exactly when its jump-index set misses
+        some index in 0..n-1, because each degeneracy relabels cell
+        generators injectively while skipping one index.
+        """
+        return self._walk(n, True)
+
+    def _walk(self, n: int, covering: bool):
+        """The labels at level n; if covering, only those whose cells use
+        every jump index t, that is any(xi[t::n]) in the g-major layout,
+        tested once per exponent vector before its standard monomials."""
         low, high = self.window
         slots = []
         for cell in self.tsa.cells:
@@ -398,7 +410,8 @@ class SimplicialModule:
         stack = [([0] * len(slots), 0, 0, 0)]
         while stack:
             prefix, start, used, count = stack.pop()
-            xi_list.append((tuple(prefix), used, count))
+            if not covering or all(any(prefix[t::n]) for t in range(n)):
+                xi_list.append((tuple(prefix), used, count))
             if count + 1 >= high:
                 continue
             for s in range(len(slots) - 1, start - 1, -1):
@@ -418,25 +431,7 @@ class SimplicialModule:
             for d in range(max(0, low - xi_count), top + 1):
                 for rm in bases[d]:
                     labs.append((rm, xi))
-        self._labels[n] = labs
         return labs
-
-    def is_covering(self, n: int, label) -> bool:
-        """Does the label survive the degeneracy quotient at level n?
-
-        A label is degenerate exactly when its jump-index set misses
-        some index in 0..n-1, because each degeneracy relabels cell
-        generators injectively while skipping one index.
-        """
-        _, xi = label
-        cells = len(self.tsa.cells)
-        for t in range(n):
-            if not any(xi[g * n + t] for g in range(cells)):
-                return False
-        return True
-
-    def covering_labels(self, n: int):
-        return [l for l in self.labels(n) if self.is_covering(n, l)]
 
     # -- structure maps -------------------------------------------------------
 

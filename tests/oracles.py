@@ -384,3 +384,17 @@ def koszul_strand_homology(R, sequence, degree_bound):
             if h:
                 table[(i, j)] = h
     return table
+
+
+# ---------------------------------------------------------------------------
+# Degeneracy quotient: the covering condition on one simplicial label
+
+
+def oracle_covering(cells, n, label):
+    """Does the label (rmono, xi) at level n use every jump index 0..n-1?
+
+    xi is laid out g-major over the cells: slot g*n + t is cell g with
+    jump index t.  A label missing an index is degenerate.
+    """
+    _, xi = label
+    return all(any(xi[g * n + t] for g in range(cells)) for t in range(n))

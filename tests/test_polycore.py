@@ -144,6 +144,19 @@ def test_prime_field_normalizes_fractions_by_inverting_the_denominator():
         F3.normalize(Fraction(1, 6))
 
 
+def test_field_constants_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert QQ.zero == 0 and QQ.one == 1
+    assert PrimeField(5).zero == 0 and PrimeField(5).one == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+@pytest.mark.parametrize("value", [2.5, 0.1, "1", "1/2"])
+def test_normalize_rejects_what_is_not_rational(field, value):
+    with pytest.raises(ValidationError):
+        field.normalize(value)
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5)])
 def test_ring_axioms_randomized(field):
     ring = PolyRing(field, ("x", "y", "z"))

@@ -1,4 +1,5 @@
 import pytest
+from oracles import oracle_covering
 
 from ringkit import groebner, parse_ring
 from ringkit.errors import PreconditionError
@@ -109,6 +110,19 @@ def test_face_vector_matches_face_images():
                     assert mod.face_vector(n, i, lab) == expected, (n, i, lab)
                     checks += 1
     assert checks > 10000
+
+
+@pytest.mark.parametrize("mode", [("power", 0), ("power", 2), "conormal"])
+def test_covering_labels_match_the_definition(mode):
+    # the walk tests covering per exponent vector; the order of the
+    # labels fixes every strand matrix, so it is pinned as well
+    for tsa in _face_test_algebras():
+        mod = SimplicialModule(tsa, mode, 5)
+        for n in range(tsa.L + 1):
+            labs, cover = mod.labels(n), mod.covering_labels(n)
+            assert len(set(labs)) == len(labs)
+            assert len(set(cover)) == len(cover)
+            assert cover == [l for l in labs if oracle_covering(len(tsa.cells), n, l)]
 
 
 def test_higher_degree_cells_rejected():
