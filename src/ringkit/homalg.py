@@ -254,12 +254,17 @@ class HomologyTable:
         }
 
 
-def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
+def homology_dims(
+    C: GradedChainComplex, up_to_internal: int, support=None
+) -> HomologyTable:
     """dim_k H_i(C)_j for i in the complex range and j <= the bound.
 
     Ranks are exact per strand; the degree bound only limits which
     strands are reported.  A module generator above the bound would cut
     a strand silently, so that situation is surfaced as a warning.
+    A support, when given, is a set of pairs (i, j) off which the
+    homology is known to vanish: only its entries are computed, each
+    from the strands of d_i and d_{i+1} at j.
     """
     bounds.check(degree=up_to_internal)
     D = up_to_internal
@@ -271,17 +276,22 @@ def homology_dims(C: GradedChainComplex, up_to_internal: int) -> HomologyTable:
             warnings.append(
                 f"degree bound {D} is below a generator degree of term {i}"
             )
-    dims = {
-        (i, j): len(free_strand_basis(C.module(i), j))
+    keys = [
+        (i, j)
         for i in terms
         for j in range(D + 1)
-    }
+        if support is None or (i, j) in support
+    ]
+    ranked = sorted({(n, j) for i, j in keys for n in (i, i + 1) if n in C.maps})
+
+    def size(i, j):
+        return len(free_strand_basis(C.module(i), j))
+
+    dims = {key: size(*key) for key in keys}
     strands = (
-        ((i, j), C.maps[i].strand_columns(j))
-        for i in terms
-        if i in C.maps
-        for j in range(D + 1)
-        if dims[(i, j)] and dims.get((i - 1, j))
+        ((n, j), C.maps[n].strand_columns(j))
+        for n, j in ranked
+        if size(n, j) and size(n - 1, j)
     )
     entries = linalg.homology(dims, strands, C.ring.field)
     return HomologyTable(entries, C.lo, C.hi, D, warnings)

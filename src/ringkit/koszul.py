@@ -4,9 +4,10 @@ K(f_1, ..., f_n) is the exterior-algebra complex with term i free on
 the size-i index subsets and differential contracting against the f_j
 with the standard alternating signs.  The distinguished complex on the
 variable images (the minimal generators of the irrelevant ideal) feeds
-the singularity reports; the trivial twist re-expresses each term as a
-presented module with trivial action (the Frobenius twist lives in
-ghost, next to the pushforward it uses).
+the singularity reports, and its homology is ranked only where the
+Taylor resolution of S/in(I) allows it; the trivial twist re-expresses
+each term as a presented module with trivial action (the Frobenius
+twist lives in ghost, next to the pushforward it uses).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import combinations
 
 from . import bounds, groebner, homalg, linalg
 from .errors import PreconditionError
-from .polycore import RingPresentation
+from .polycore import RingPresentation, mono_deg, mono_lcm
 
 
 @dataclass
@@ -81,8 +82,58 @@ def koszul_on_maximal_ideal(R: RingPresentation) -> KoszulComplex:
     return koszul(R, R.variable_polys())
 
 
+def _taylor_support(R: RingPresentation) -> set:
+    """The pairs (i, j), i <= embdim, where j is the degree of the lcm of
+    i distinct leading monomials of the reduced Groebner basis of R.
+
+    H_i(K^R)_j = beta^S_ij(R) <= beta^S_ij(S/in(I)) by upper
+    semicontinuity (Herzog-Hibi, Monomial Ideals, 3.3), and the Taylor
+    resolution of S/in(I) has its i-th term in these degrees, so Koszul
+    homology on the variables vanishes off this set.
+    """
+    lms = groebner.ring_groebner(R).lms
+    # (lcm, largest index used) of the i-subsets; extending only by larger
+    # indices reaches each subset once, and merged pairs extend alike
+    level = {((0,) * R.embdim, -1)}
+    support = {(0, 0)}
+    for i in range(1, R.embdim + 1):
+        level = {
+            (mono_lcm(m, lms[k]), k)
+            for m, last in level
+            for k in range(last + 1, len(lms))
+        }
+        support.update((i, mono_deg(m)) for m, _ in level)
+    return support
+
+
+def _support(K: KoszulComplex):
+    """The Taylor support of K.ring when K is on embdim linear forms of
+    full rank, a minimal generating set of m; otherwise None.
+
+    Such a K is isomorphic to K on the variables through the exterior
+    powers of the change-of-basis matrix.
+    """
+    R, seq = K.ring, K.sequence
+    if len(seq) != R.embdim or any(f.degree() != 1 for f in seq):
+        return None
+    columns = [{m.index(1): c for m, c in f.terms.items()} for f in seq]
+    if linalg.sparse_rank(columns, R.field) < R.embdim:
+        return None
+    return _taylor_support(R)
+
+
 def koszul_homology_dims(K: KoszulComplex, degree_bound=None) -> homalg.HomologyTable:
-    return homalg.homology_dims(K.complex, bounds.koszul_degree(K, degree_bound))
+    """dim H_i(K)_j through the window; on a minimal generating set of m
+    only the Taylor support is ranked, and a window below its top degree
+    is flagged, since homology above the window is not ruled out there."""
+    D = bounds.koszul_degree(K, degree_bound)
+    support = _support(K)
+    table = homalg.homology_dims(K.complex, D, support)
+    if support is not None:
+        top = max(j for _, j in support)
+        if top > D:
+            table.warnings.append(f"degree-bound-below-certified:{top}")
+    return table
 
 
 def koszul_homology_annihilated(K: KoszulComplex, degree_bound=None) -> bool:
@@ -153,8 +204,8 @@ def generator_change_iso_check(
         raise PreconditionError("second sequence is not a minimal generating set")
     Ka, Kb = koszul(R, seq_a), koszul(R, seq_b)
     D = max(bounds.koszul_degree(K, degree_bound) for K in (Ka, Kb))
-    ta = homalg.homology_dims(Ka.complex, D)
-    tb = homalg.homology_dims(Kb.complex, D)
+    ta = homalg.homology_dims(Ka.complex, D, _support(Ka))
+    tb = homalg.homology_dims(Kb.complex, D, _support(Kb))
     return ta.entries == tb.entries
 
 
@@ -171,7 +222,7 @@ def trivial_twist(K: KoszulComplex, degree_bound=None) -> homalg.TorCoefficients
     ideal kills Koszul homology.  The Frobenius twist is
     ghost.frobenius_twist.
     """
-    table = homalg.homology_dims(K.complex, bounds.koszul_degree(K, degree_bound))
+    table = koszul_homology_dims(K, degree_bound)
     terms = [
         homalg.trivial_action_module(
             K.ring, [j for j, d in sorted(table.strands(i).items()) for _ in range(d)]

@@ -43,6 +43,26 @@ def test_koszul_command_with_explicit_sequence():
     assert report["results"]["totals"] == [2, 0, 0]
 
 
+def test_koszul_partial_sequence_keeps_the_full_route():
+    # (x, y) is not a generating set of m: every strand is ranked, and
+    # no Taylor support certifies or flags the window
+    code, report = run(["koszul", "QQ[x,y,z]/(x*y,z^2)", "--sequence", "x,y"])
+    assert code == 0
+    results = report["results"]
+    assert results["entries"] == [[0, 0, 1], [0, 1, 1], [1, 2, 1], [1, 3, 1]]
+    assert results["totals"] == [2, 2, 0]
+    assert results["warnings"] == []
+
+
+def test_koszul_on_a_linear_change_of_variables_matches_the_variables():
+    ring = "QQ[x,y,z]/(x*y,z^2)"
+    _, changed = run(["koszul", ring, "--sequence", "x+y,y,z"])
+    _, variables = run(["koszul", ring])
+    for key in ("entries", "totals", "degree_bound", "warnings"):
+        assert changed["results"][key] == variables["results"][key]
+    assert variables["results"]["entries"] == [[0, 0, 1], [1, 2, 2], [2, 4, 1]]
+
+
 def test_betti_command():
     code, report = run(["betti", "QQ[x,y]/(x*y)", "--homological-bound", "4"])
     assert code == 0
@@ -204,6 +224,12 @@ def test_deglex_reaches_the_same_answers(argv, capsys):
         # a complete intersection with a redundant generator, as classify says
         (["aq", "QQ[x,y]/(x^2,2*x^2)"], 0),
         (["aq", "QQ[x,y]/(x^2,y^2,x^2+y^2)"], 0),
+        # a window below the top degree of the Taylor support of in(I):
+        # H_2 of (x^3,y^3) sits in degree 6
+        (["koszul", "QQ[x,y]/(x^3,y^3)", "--degree-bound", "3"], 3),
+        (["koszul", "QQ[x,y]/(x^3,y^3)", "--degree-bound", "6"], 0),
+        # complete through 4, but Taylor's support reaches degree 5
+        (["koszul", "QQ[x,y,z]/(x*y,y*z,x^3)", "--degree-bound", "4"], 3),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):

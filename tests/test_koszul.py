@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import koszul_strand_homology
 from ringkit import parse_poly, parse_ring
 from ringkit.errors import PreconditionError
+from ringkit.groebner import IdealHandle
 from ringkit.homalg import (
     homology_dims,
     residue_field_module,
@@ -11,6 +13,8 @@ from ringkit.homalg import (
     minimal_resolution,
 )
 from ringkit.koszul import (
+    _support,
+    _taylor_support,
     generator_change_iso_check,
     koszul,
     koszul_homology_annihilated,
@@ -19,6 +23,7 @@ from ringkit.koszul import (
     trivial_twist,
 )
 from ringkit.ghost import frobenius_twist
+from ringkit.polycore import RingPresentation, monomials_of_degree
 
 
 def test_rank_shapes():
@@ -195,6 +200,66 @@ def test_generator_change_rejects_non_minimal():
     x, y = R.ambient.var(0), R.ambient.var(1)
     with pytest.raises(PreconditionError):
         generator_change_iso_check(R, [x, y], [x, y, x + y])
+
+
+# ---------------------------------------------------------------------------
+# Taylor support of in(I)
+
+
+def test_taylor_support_of_a_monomial_complete_intersection():
+    assert _taylor_support(parse_ring("QQ[x,y]/(x^3,y^3)")) == {(0, 0), (1, 3), (2, 6)}
+    assert _taylor_support(parse_ring("F2[x,y]")) == {(0, 0)}
+    # the pairs' lcms have degrees 3, 4 and 5; the triple's is x^3*y*z
+    assert _taylor_support(parse_ring("QQ[x,y,z]/(x*y,y*z,x^3)")) == {
+        (0, 0), (1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 5)
+    }
+
+
+def test_support_needs_a_minimal_generating_set_of_linear_forms():
+    R = parse_ring("QQ[x,y,z]/(x*y,z^2)")
+    x, y, z = R.variable_polys()
+    assert _support(koszul(R, [x + y, y, z])) == _taylor_support(R)
+    assert _support(koszul(R, [x, y])) is None
+    assert _support(koszul(R, [x + y, x + y, z])) is None
+    assert _support(koszul(R, [x, y, z * z])) is None
+
+
+@st.composite
+def _small_rings(draw):
+    """A ring over QQ, F2, F3 or F5 in at most 3 variables, cut out by
+    monomials and binomials of degree 2-3, each generator reduced
+    against m times the others (and dropped when that kills it)."""
+    field = draw(st.sampled_from(["QQ", "F2", "F3", "F5"]))
+    n = draw(st.integers(1, 3))
+    base = parse_ring(f"{field}[{','.join('xyz'[:n])}]")
+    S = base.ambient
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = list(monomials_of_degree(n, draw(st.integers(2, 3))))
+        g = S.monomial(draw(st.sampled_from(monos)))
+        if draw(st.booleans()):
+            c = draw(st.sampled_from([1, -1, 2, -3]))
+            g = g + S.monomial(draw(st.sampled_from(monos)), c)
+        if not g.is_zero():
+            gens.append(g)
+    for k in range(len(gens)):
+        others = gens[:k] + gens[k + 1 :]
+        m_others = IdealHandle(S, [v * h for h in others for v in base.variable_polys()])
+        gens[k] = m_others.normal_form(gens[k])
+    return RingPresentation(base.field, base.variables, [g for g in gens if g])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_small_rings())
+def test_taylor_support_prunes_only_vanishing_strands(R):
+    K = koszul_on_maximal_ideal(R)
+    support = _taylor_support(R)
+    D = max(j for _, j in support) + 1
+    full = homology_dims(K.complex, D)
+    pruned = koszul_homology_dims(K, D)
+    assert pruned.entries == full.entries
+    assert pruned.warnings == full.warnings
+    assert set(full.entries) <= support
 
 
 # ---------------------------------------------------------------------------
