@@ -5,12 +5,14 @@ check), 2 precondition rejection, 3 truncation-inconclusive: the report
 lists a truncation flag.  Every command prints one report, as
 human-readable text or, with --json, as a JSON run report; identical
 invocations produce identical JSON apart from the wall-time field.
-Missing bounds are the defaults of ringkit.bounds.
+Missing bounds are the defaults of ringkit.bounds.  One parser, built
+by the first run, serves every run in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -51,7 +53,9 @@ _non_negative = _int_at_least(0)
 _positive = _int_at_least(1)
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    """The parser, built on the first run and reused by every later one."""
     p = _ArgumentParser(prog="ringkit", description=__doc__)
     p.add_argument("--version", action="version", version=f"ringkit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
@@ -197,6 +201,7 @@ def _cmd_betti(args):
     R = _ring(args)
     M = homalg.residue_field_module(R)
     table = homalg.minimal_resolution(M, args.homological_bound, args.degree_bound).betti
+    homalg.flag_below_tate_bound(R, table)
     text = (
         f"Betti table of k over {R.to_dsl()} "
         f"(N={table.homological_bound}, D={table.degree_bound})\n" + table.to_text()
@@ -215,6 +220,8 @@ def _cmd_tor(args):
         N = ghost.frobenius_pushforward(R, args.power)
         desc = f"frobenius pushforward (e={args.power})"
     table = homalg.tor_dims(k_mod, N, args.homological_bound, args.degree_bound)
+    if args.coefficients == "k":
+        homalg.flag_below_tate_bound(R, table)
     text = f"Tor(k, {desc}) over {R.to_dsl()}\ntotals: {table.totals()}"
     inputs = {"ring": R.to_dsl(), "with": desc, "N": args.homological_bound}
     return inputs, table.to_json(), text, table.flags
@@ -269,9 +276,8 @@ _COMMANDS = {
 def run(argv):
     """Run one invocation; returns (exit_code, report dict or None)."""
     started = time.time()
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         inputs, results, text, flags = _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help / --version
         return (exc.code if isinstance(exc.code, int) else EXIT_OK), None

@@ -114,9 +114,14 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder, lms=None) -> Polynom
     return Polynomial(f.ring, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def s_polynomial(
+    f: Polynomial, g: Polynomial, order: MonomialOrder, lmf=None, lmg=None
+) -> Polynomial:
+    """The S-polynomial of f and g; lmf and lmg are their leading
+    monomials, found here when not given."""
     ring = f.ring
-    lmf, lmg = leading_monomial(f, order), leading_monomial(g, order)
+    lmf = leading_monomial(f, order) if lmf is None else lmf
+    lmg = leading_monomial(g, order) if lmg is None else lmg
     lcm = mono_lcm(lmf, lmg)
     mf = ring.monomial(mono_quot(lcm, lmf), ring.field.inv(f.terms[lmf]))
     mg = ring.monomial(mono_quot(lcm, lmg), ring.field.inv(g.terms[lmg]))
@@ -155,15 +160,16 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
     basis, lms, pairs = [], [], []
 
     def enter(g):
+        """Add g, made monic, to the basis; its leading monomial is found once."""
         k, lm = len(basis), leading_monomial(g, order)
         for i in range(k):
             heappush(pairs, (order.key(mono_lcm(lms[i], lm)), (i, k)))
-        basis.append(g)
+        basis.append(g.scale(g.ring.field.inv(g.terms[lm])))
         lms.append(lm)
 
     for g in gens:
         if not g.is_zero():
-            enter(monic(g, order))
+            enter(g)
     done = set()
     while pairs:
         _, (i, j) = heappop(pairs)
@@ -182,10 +188,10 @@ def buchberger(gens, order: MonomialOrder = DEGREVLEX):
                 break
         if chain:
             continue
-        s = s_polynomial(basis[i], basis[j], order)
+        s = s_polynomial(basis[i], basis[j], order, lms[i], lms[j])
         r = normal_form(s, basis, order, lms)
         if not r.is_zero():
-            enter(monic(r, order))
+            enter(r)
     return _autoreduce(basis, lms, order)
 
 

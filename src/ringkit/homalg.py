@@ -454,7 +454,13 @@ class BettiTable(TorTable):
     minimal resolution of M: entries count its generators by degree."""
 
     rescale: int
-    terminated: bool
+    last_step_empty: bool  # step N of the window has no generator
+
+    @property
+    def terminated(self) -> bool:
+        """The resolution ends inside the window: step N is empty and no
+        truncation flag doubts the steps before it."""
+        return self.last_step_empty and not self.flags
 
     def to_json(self):
         return {
@@ -554,7 +560,7 @@ def minimal_resolution(
                     columns[step].append(strand_vector_column(R, free, v))
             kernel = relations
 
-    terminated = not degrees[N]
+    last_step_empty = not degrees[N]
     while len(degrees) > 1 and not degrees[-1]:
         degrees.pop()
     steps = range(1, len(degrees))
@@ -567,8 +573,42 @@ def minimal_resolution(
     for i, degs in enumerate(degrees):
         for j in degs:
             betti_entries[(i, j)] = betti_entries.get((i, j), 0) + 1
-    betti = BettiTable(betti_entries, N, D, flags, s, terminated)
+    betti = BettiTable(betti_entries, N, D, flags, s, last_step_empty)
     return ResolutionResult(complex_, betti)
+
+
+def tate_bound(R: RingPresentation, N: int):
+    """Coefficients of t^0..t^N in (1+t)^n / (1-t^2)^mu.
+
+    n is the embedding dimension of R = S/I and mu the minimal generator
+    count of I, which lies in m^2 (RingPresentation rejects a linear
+    generator).  The Poincare series of k is at least this series
+    coefficientwise, with equality exactly when R is a complete
+    intersection (Tate, 1957; Avramov, "Infinite free resolutions", 7.3).
+    """
+    c = [1] + [0] * N
+    for _ in range(R.embdim):
+        c = [c[i] + (c[i - 1] if i else 0) for i in range(N + 1)]
+    for _ in range(groebner.minimal_generator_count(R)):
+        for i in range(2, N + 1):
+            c[i] += c[i - 2]
+    return c
+
+
+def flag_below_tate_bound(R: RingPresentation, table: TorTable) -> None:
+    """Flag the totals of a resolution of k over R below Tate's bound.
+
+    table holds dim Tor_i(k, k) through its homological bound, as betti
+    and tor with k report it.  A total below tate_bound lost classes to
+    the degree window, so each such step i adds the truncation flag
+    betti-below-tate-bound:step-<i>.
+    """
+    bound = tate_bound(R, table.homological_bound)
+    table.flags.extend(
+        f"betti-below-tate-bound:step-{i}"
+        for i, (total, least) in enumerate(zip(table.totals(), bound))
+        if total < least
+    )
 
 
 def resolution_is_minimal(res: ResolutionResult) -> bool:

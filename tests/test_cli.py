@@ -1,7 +1,9 @@
+import argparse
 import json
 
 import pytest
 
+from ringkit.bounds import HOMOLOGICAL
 from ringkit.cli import run
 
 
@@ -67,6 +69,24 @@ def test_betti_command():
     code, report = run(["betti", "QQ[x,y]/(x*y)", "--homological-bound", "4"])
     assert code == 0
     assert report["results"]["totals"] == [1, 2, 2, 2, 2]
+
+
+def test_betti_and_tor_flag_totals_below_the_tate_bound():
+    argv = ["QQ[x]/(x^5)", "--degree-bound", "3", "--homological-bound", "4"]
+    flags = [f"betti-below-tate-bound:step-{i}" for i in (2, 3, 4)]
+    for command in ("betti", "tor"):
+        code, report = run([command] + argv)
+        assert code == 3
+        assert report["results"]["totals"] == [1, 1, 0, 0, 0]
+        assert report["results"]["truncation"]["flags"] == flags
+
+
+def test_betti_with_a_flag_does_not_report_termination():
+    argv = ["betti", "QQ[x,y]/(x^3,y^3)", "--degree-bound", "3", "--homological-bound", "4"]
+    code, report = run(argv)
+    assert code == 3
+    assert "syzygy-at-degree-bound:step-2" in report["results"]["truncation"]["flags"]
+    assert report["results"]["terminated"] is False
 
 
 def test_tor_command_against_k():
@@ -230,6 +250,10 @@ def test_deglex_reaches_the_same_answers(argv, capsys):
         (["koszul", "QQ[x,y]/(x^3,y^3)", "--degree-bound", "6"], 0),
         # complete through 4, but Taylor's support reaches degree 5
         (["koszul", "QQ[x,y,z]/(x*y,y*z,x^3)", "--degree-bound", "4"], 3),
+        # totals [1,1,0,0,0] below Tate's bound [1,1,1,1,1]: the window
+        # cut the syzygies of degree 5 and up
+        (["betti", "QQ[x]/(x^5)", "--degree-bound", "3", "--homological-bound", "4"], 3),
+        (["tor", "QQ[x]/(x^5)", "--degree-bound", "3", "--homological-bound", "4"], 3),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):
@@ -332,3 +356,37 @@ def test_corpus_roundtrip_rings():
         R = parse_ring(entry.ring_text)
         assert parse_ring(R.to_dsl()) == R
         assert all(tag in ("LIT", "ORACLE", "DIRECT") for _, _, tag, _ in entry.expectations)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_run_builds_no_parser_after_the_first(monkeypatch, capsys):
+    run(["koszul", "QQ[x,y]/(x*y)"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run(["koszul", "QQ[x,y]/(x*y)"])[0] == 0
+    assert run(["betti", "QQ[x,y]/(x*y)", "--homological-bound", "2"])[0] == 0
+    assert run(["betti", "QQ[x,y]/(x*y)", "--homological-bound", "two"])[0] == 1
+    capsys.readouterr()
+    assert built == []
+
+
+def test_runs_share_no_state(capsys):
+    ring = "QQ[x,y]/(x*y)"
+    _, report = run(["betti", ring, "--homological-bound", "2"])
+    assert report["inputs"]["N"] == 2
+    _, report = run(["betti", ring])
+    assert report["inputs"]["N"] == HOMOLOGICAL == 8
+    assert run(["betti", ring, "--homological-bound", "-1"]) == (1, None)
+    assert run(["betti", ring])[0] == 0
+    assert run(["--version"]) == (0, None)
+    assert run(["--version"]) == (0, None)
+    assert capsys.readouterr().out.count("ringkit ") == 2

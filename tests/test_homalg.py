@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 
 from oracles import brute_betti_of_k
 from ringkit import parse_ring
+from ringkit.bounds import HOMOLOGICAL
 from ringkit.errors import ValidationError
 from ringkit.homalg import (
     GradedChainComplex,
@@ -14,6 +17,7 @@ from ringkit.homalg import (
     minimize_presentation,
     residue_field_module,
     resolution_is_minimal,
+    tate_bound,
     tor_dims,
     trivial_action_module,
     verify_d_squared,
@@ -135,6 +139,32 @@ def test_betti_numbers_match_brute_force_oracle(dsl, steps, expected):
     engine = minimal_resolution(residue_field_module(R), steps).betti.totals()
     assert oracle == expected
     assert engine == expected
+
+
+@pytest.mark.parametrize(
+    "dsl,n,mu",
+    [
+        ("QQ[x]/(x^5)", 1, 1),
+        ("QQ[x,y]/(x^2,y^3)", 2, 2),
+        ("F2[x,y,z]/(x^2,y^2,z^2)", 3, 3),
+        ("F3[x,y]/(x^2+y^2,x*y)", 2, 2),
+        ("QQ[x,y,z]/(x*y-z^2)", 3, 1),
+        ("F5[x,y,z]/(x^2-y*z,y^2-x*z)", 3, 2),
+    ],
+)
+def test_tate_bound_is_the_betti_totals_of_a_complete_intersection(dsl, n, mu):
+    # for a complete intersection the Poincare series of k is exactly
+    # (1+t)^n / (1-t^2)^mu: the coefficient of t^i sums C(n, i-2m) C(mu-1+m, m)
+    N = HOMOLOGICAL
+    formula = [
+        sum(comb(n, i - 2 * m) * comb(mu - 1 + m, m) for m in range(i // 2 + 1))
+        for i in range(N + 1)
+    ]
+    R = parse_ring(dsl)
+    betti = minimal_resolution(residue_field_module(R), N).betti
+    assert tate_bound(R, N) == formula
+    assert betti.totals() == formula
+    assert betti.flags == []
 
 
 def test_module_that_minimizes_to_zero_resolves_as_terminated():
