@@ -228,10 +228,7 @@ def ci_koszul_ghost(phi: RingEndomap) -> KoszulGhostVerdict:
             "ring is not a complete intersection; positive-degree "
             "vanishing is undecided at this truncation",
         )
-    ideal = groebner.ring_ideal(R)
-    square = groebner.ideal_power(
-        groebner.IdealHandle(R.ambient, R.generators, ideal.order), 2
-    )
+    square = groebner.ideal_power(groebner.ring_ideal(R), 2)
     for g in R.generators:
         lifted = phi.lift_substitute(g)
         if not lifted.is_zero() and not groebner.member(lifted, square):

@@ -510,14 +510,16 @@ def minimal_resolution(
     """Minimal graded free resolution of M, truncated at (N, D).
 
     Degrees are the outer loop and steps the inner one.  In degree j,
-    step s holds a basis of ker(d_s)_j; step 0 starts from the relation
-    span of M, which is ker(F_0 -> M)_j.  Step s seeds a SpanReducer
+    step s holds vectors that span ker(d_s)_j together with its seeds.
+    Step 0 takes the degree-j relations of M: the relations generate
+    ker(F_0 -> M), so the multiples of lower ones lie in the seeds'
+    span.  Step s seeds a SpanReducer
     with the degree-j multiples of the F_{s+1} generators found below j,
     each tagged with its position in the F_{s+1} strand.  Their span is
     m * ker(d_s)_j, since by induction those generators generate the
     kernel below j and R is generated in degree 1.  The kernel vectors
-    that enlarge it become the degree-j generators (greedy, in basis
-    order), so every differential entry lies in the irrelevant ideal
+    that enlarge it become the degree-j generators (greedy, in the
+    order given), so every differential entry lies in the irrelevant ideal
     and the term ranks are Betti numbers.  The new generators are
     independent of the seeds, so the tags left by the seeds that reduce
     to zero are a basis of ker(d_{s+1})_j, which step s + 1 takes next.
@@ -538,14 +540,15 @@ def minimal_resolution(
             f"degree bound {D} is below a module generator degree {gen_max}"
         )
 
-    strands = ModuleStrands(M)
     degrees = [list(M.gen_degrees)] + [[] for _ in range(N)]
     columns = [[] for _ in range(N)]  # columns[step]: d_{step+1}
     for j in range(min(M.gen_degrees, default=D + 1), D + 1):
-        kernel = strands.strand(j).reducer.rows.values()
+        kernel = [c for d, c in zip(M.relation_degrees, M.relations) if d == j]
         for step in range(N):
             free = free_strand_basis(GradedFreeModule(R, tuple(degrees[step]), s), j)
             index = {lab: i for i, lab in enumerate(free)}
+            if step == 0:
+                kernel = _multiples(R, kernel, [j] * len(kernel), s, j, index)
             width = len(free)
             reducer = linalg.SpanReducer(fld, width)
             seeds = _multiples(R, columns[step], degrees[step + 1], s, j, index)

@@ -13,6 +13,7 @@ honest.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -498,38 +499,21 @@ def _valid_ident(s: str) -> bool:
     )
 
 
+_TOKEN = re.compile(
+    r"(?P<ARROW>->)|(?P<SYM>[\[\](){},/^*+-])|(?P<INT>[0-9]+)"
+    r"|(?P<IDENT>[A-Za-z][A-Za-z0-9]*)|(?P<SPACE>\s+)|(?P<OTHER>.)"
+)
+
+
 def _tokenize(text: str):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(("ARROW", "->", i))
-            i += 2
-            continue
-        if ch in "[](){},/^*+-":
-            tokens.append(("SYM", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", int(text[i:j]), i))
-            i = j
-            continue
-        if ch.isascii() and ch.isalpha():
-            j = i
-            while j < n and text[j].isascii() and text[j].isalnum():
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise DSLError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", None, n))
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "OTHER":
+            raise DSLError(f"unexpected character {value!r}", m.start())
+        if kind != "SPACE":
+            tokens.append((kind, int(value) if kind == "INT" else value, m.start()))
+    tokens.append(("END", None, len(text)))
     return tokens
 
 

@@ -348,12 +348,6 @@ class SimplicialModule:
         self.D = degree_bound
         self._label_of = _LabelIndex()
         self._products = {}
-        base = tsa.base
-        self.multigraded = all(
-            len(g.terms) == 1 for g in base.generators
-        ) and all(len(c.boundary.terms) <= 1 for c in tsa.cells)
-        zero_cells = [g for g, c in enumerate(tsa.cells) if c.boundary.is_zero()]
-        self._zero_slot = {g: base.embdim + k for k, g in enumerate(zero_cells)}
 
     # -- labels ---------------------------------------------------------------
 
@@ -364,24 +358,6 @@ class SimplicialModule:
             for t in range(n):
                 d += xi[g * n + t] * cell.internal_degree
         return d
-
-    def strand_key(self, n, label):
-        """Grading key: full multidegree when available, else total degree."""
-        if not self.multigraded:
-            return self.label_degree(n, label)
-        rmono, xi = label
-        mdeg = list(rmono) + [0] * len(self._zero_slot)
-        for g, cell in enumerate(self.tsa.cells):
-            e = sum(xi[g * n + t] for t in range(n))
-            if e == 0:
-                continue
-            if cell.boundary.is_zero():
-                mdeg[self._zero_slot[g]] += e
-            else:
-                (bm,) = cell.boundary.terms
-                for k, ee in enumerate(bm):
-                    mdeg[k] += e * ee
-        return tuple(mdeg)
 
     def labels(self, n: int):
         """All labels at level n in the window, internal degree <= the bound."""
@@ -496,29 +472,24 @@ class SimplicialModule:
 class NormalizedComplex:
     """Normalization of a truncated simplicial module.
 
-    dims[(n, key)] and mats[(n, key)] describe the strand complex;
+    dims[(n, j)] and mats[(n, j)] describe the strand complex;
     homological degrees >= untrusted_from depend on levels beyond the
     truncation and are not reported.
     """
 
     dims: dict
-    mats: dict  # (n, key) -> list of sparse columns into level n-1
+    mats: dict  # (n, j) -> list of sparse columns into level n-1
     untrusted_from: int
     field: object
 
     def homology(self):
         """Entries (i, internal_degree) -> dim, for i < untrusted_from."""
         table = linalg.homology(self.dims, self.mats.items(), self.field)
-        out = {}
-        for (n, key), h in table.items():
-            if n < self.untrusted_from:
-                j = sum(key) if isinstance(key, tuple) else key
-                out[(n, j)] = out.get((n, j), 0) + h
-        return out
+        return {k: h for k, h in table.items() if k[0] < self.untrusted_from}
 
     def verify_d_squared(self) -> bool:
-        for (n, key), cols in self.mats.items():
-            lower = self.mats.get((n - 1, key))
+        for (n, j), cols in self.mats.items():
+            lower = self.mats.get((n - 1, j))
             if not lower:
                 continue
             for col in cols:
@@ -560,7 +531,7 @@ def normalize(module: SimplicialModule, method: str = "quotient") -> NormalizedC
 def _group_by_key(module, n, labels):
     grouped = {}
     for lab in labels:
-        grouped.setdefault(module.strand_key(n, lab), []).append(lab)
+        grouped.setdefault(module.label_degree(n, lab), []).append(lab)
     return grouped
 
 
@@ -577,13 +548,13 @@ def _moore_complex(module: SimplicialModule, labels_of):
     """
     L = module.tsa.L
     grouped = {n: _group_by_key(module, n, labels_of(n)) for n in range(L + 1)}
-    dims = {(n, key): len(labs) for n in grouped for key, labs in grouped[n].items()}
+    dims = {(n, j): len(labs) for n in grouped for j, labs in grouped[n].items()}
     mats = {}
     for n in range(1, L + 1):
-        for key, labs in grouped[n].items():
-            tix = {lab: i for i, lab in enumerate(grouped[n - 1].get(key, []))}
+        for j, labs in grouped[n].items():
+            tix = {lab: i for i, lab in enumerate(grouped[n - 1].get(j, []))}
             cols = [_restrict(module.moore_vector(n, lab), tix) for lab in labs]
-            mats[(n, key)] = cols
+            mats[(n, j)] = cols
     return NormalizedComplex(dims, mats, L, module.tsa.base.field)
 
 
@@ -595,9 +566,9 @@ def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
     bases = {}
     dims = {}
     for n in range(L + 1):
-        for key, labs in grouped[n].items():
+        for j, labs in grouped[n].items():
             # one row block per face d_1..d_n; level 0 has no faces
-            tgt = grouped.get(n - 1, {}).get(key, [])
+            tgt = grouped.get(n - 1, {}).get(j, [])
             tix = {lab: i for i, lab in enumerate(tgt)}
             cols = []
             for lab in labs:
@@ -607,22 +578,22 @@ def _normalize_kernel(module: SimplicialModule) -> NormalizedComplex:
                         col[(i - 1) * len(tgt) + tix[lab2]] = c
                 cols.append(col)
             vecs = linalg.nullspace(cols, fld)
-            bases[(n, key)] = (labs, vecs)
-            dims[(n, key)] = len(vecs)
+            bases[(n, j)] = (labs, vecs)
+            dims[(n, j)] = len(vecs)
     mats = {}
     for n in range(1, L + 1):
-        for key in grouped[n]:
-            labs, vecs = bases[(n, key)]
-            tgt_labs, tgt_vecs = bases.get((n - 1, key), ([], []))
+        for j in grouped[n]:
+            labs, vecs = bases[(n, j)]
+            tgt_labs, tgt_vecs = bases.get((n - 1, j), ([], []))
             if not tgt_vecs:
-                mats[(n, key)] = [{} for _ in vecs]
+                mats[(n, j)] = [{} for _ in vecs]
                 continue
             tix = {lab: i for i, lab in enumerate(tgt_labs)}
             # d_0 of each label inside the window, then of each kernel
             # vector in the target kernel basis
             d0 = [_restrict(module.face_vector(n, 0, lab), tix) for lab in labs]
             images = [_combine(fld, [(c, d0[k]) for k, c in v.items()]) for v in vecs]
-            mats[(n, key)] = [_express(tgt_vecs, img, fld) for img in images]
+            mats[(n, j)] = [_express(tgt_vecs, img, fld) for img in images]
     return NormalizedComplex(dims, mats, L, fld)
 
 

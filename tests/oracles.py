@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ringkit import groebner
-from ringkit.polycore import monomials_of_degree
+from hypothesis import strategies as st
+
+from ringkit import groebner, parse_ring
+from ringkit.polycore import RingPresentation, monomials_of_degree
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +400,34 @@ def oracle_covering(cells, n, label):
     """
     _, xi = label
     return all(any(xi[g * n + t] for g in range(cells)) for t in range(n))
+
+
+# ---------------------------------------------------------------------------
+# Random small rings for the property tests
+
+
+@st.composite
+def small_rings(draw, max_vars=3):
+    """A ring over QQ, F2, F3 or F5 in at most max_vars variables, cut
+    out by monomials and binomials of degree 2-3, each generator reduced
+    against m times the others (and dropped when that kills it)."""
+    field = draw(st.sampled_from(["QQ", "F2", "F3", "F5"]))
+    n = draw(st.integers(1, max_vars))
+    base = parse_ring(f"{field}[{','.join('xyz'[:n])}]")
+    S = base.ambient
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        monos = list(monomials_of_degree(n, draw(st.integers(2, 3))))
+        g = S.monomial(draw(st.sampled_from(monos)))
+        if draw(st.booleans()):
+            c = draw(st.sampled_from([1, -1, 2, -3]))
+            g = g + S.monomial(draw(st.sampled_from(monos)), c)
+        if not g.is_zero():
+            gens.append(g)
+    for k in range(len(gens)):
+        others = gens[:k] + gens[k + 1 :]
+        m_others = groebner.IdealHandle(
+            S, [v * h for h in others for v in base.variable_polys()]
+        )
+        gens[k] = m_others.normal_form(gens[k])
+    return RingPresentation(base.field, base.variables, [g for g in gens if g])

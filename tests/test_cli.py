@@ -254,6 +254,9 @@ def test_deglex_reaches_the_same_answers(argv, capsys):
         # cut the syzygies of degree 5 and up
         (["betti", "QQ[x]/(x^5)", "--degree-bound", "3", "--homological-bound", "4"], 3),
         (["tor", "QQ[x]/(x^5)", "--degree-bound", "3", "--homological-bound", "4"], 3),
+        # Unicode digits are not DSL integers
+        (["koszul", "QQ[x]/(x²)"], 1),
+        (["classify", "QQ[x]/(x^٣)"], 1),
     ],
 )
 def test_exit_code_contract(argv, expected, capsys):

@@ -1,10 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from oracles import koszul_strand_homology
+from oracles import koszul_strand_homology, small_rings
 from ringkit import parse_poly, parse_ring
 from ringkit.errors import PreconditionError
-from ringkit.groebner import IdealHandle
 from ringkit.homalg import (
     homology_dims,
     residue_field_module,
@@ -23,7 +22,6 @@ from ringkit.koszul import (
     trivial_twist,
 )
 from ringkit.ghost import frobenius_twist
-from ringkit.polycore import RingPresentation, monomials_of_degree
 
 
 def test_rank_shapes():
@@ -224,33 +222,8 @@ def test_support_needs_a_minimal_generating_set_of_linear_forms():
     assert _support(koszul(R, [x, y, z * z])) is None
 
 
-@st.composite
-def _small_rings(draw):
-    """A ring over QQ, F2, F3 or F5 in at most 3 variables, cut out by
-    monomials and binomials of degree 2-3, each generator reduced
-    against m times the others (and dropped when that kills it)."""
-    field = draw(st.sampled_from(["QQ", "F2", "F3", "F5"]))
-    n = draw(st.integers(1, 3))
-    base = parse_ring(f"{field}[{','.join('xyz'[:n])}]")
-    S = base.ambient
-    gens = []
-    for _ in range(draw(st.integers(1, 4))):
-        monos = list(monomials_of_degree(n, draw(st.integers(2, 3))))
-        g = S.monomial(draw(st.sampled_from(monos)))
-        if draw(st.booleans()):
-            c = draw(st.sampled_from([1, -1, 2, -3]))
-            g = g + S.monomial(draw(st.sampled_from(monos)), c)
-        if not g.is_zero():
-            gens.append(g)
-    for k in range(len(gens)):
-        others = gens[:k] + gens[k + 1 :]
-        m_others = IdealHandle(S, [v * h for h in others for v in base.variable_polys()])
-        gens[k] = m_others.normal_form(gens[k])
-    return RingPresentation(base.field, base.variables, [g for g in gens if g])
-
-
 @settings(max_examples=500, deadline=None, derandomize=True)
-@given(_small_rings())
+@given(small_rings())
 def test_taylor_support_prunes_only_vanishing_strands(R):
     K = koszul_on_maximal_ideal(R)
     support = _taylor_support(R)

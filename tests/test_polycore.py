@@ -60,6 +60,16 @@ def test_parse_errors_carry_position():
     assert err.value.position is not None
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("QQ[x]/(x²)", 8), ("QQ[x]/(x$)", 8), ("QQ[é]", 3)],
+)
+def test_unexpected_characters_are_rejected_where_they_stand(text, position):
+    with pytest.raises(DSLError, match="unexpected character") as err:
+        parse_ring(text)
+    assert err.value.position == position
+
+
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValidationError):
         parse_ring("F4[x]/(x^2)")

@@ -1,9 +1,12 @@
 import pytest
-from oracles import oracle_covering
+from hypothesis import given, settings, strategies as st
+from oracles import oracle_covering, small_rings
 
 from ringkit import groebner, parse_ring
 from ringkit.errors import PreconditionError
-from ringkit.polycore import QQ, Polynomial, RingPresentation
+from ringkit.homalg import homology_dims
+from ringkit.koszul import koszul
+from ringkit.polycore import QQ, Polynomial, RingPresentation, monomials_of_degree
 from ringkit.simplicial import (
     SimplicialModule,
     aq_dims,
@@ -205,9 +208,6 @@ def test_free_loop_augmentation_ideal_is_connected():
 
 
 def test_simplicial_koszul_recovers_classical_homology_small():
-    from ringkit.homalg import homology_dims
-    from ringkit.koszul import koszul
-
     R = parse_ring("F2[x]/(x^2)")
     seq = [R.ambient.var(0)]
     tsa = simplicial_koszul(R, seq, 3)
@@ -219,6 +219,38 @@ def test_simplicial_koszul_recovers_classical_homology_small():
         if i <= 2
     }
     assert simp == clas
+
+
+def test_strands_are_keyed_by_level_and_internal_degree():
+    # monomial relations and monomial boundaries still give one strand
+    # per (level, internal degree), not one per multidegree
+    R = parse_ring("QQ[x,y]/(x^2,y^2)")
+    x, y = R.variable_polys()
+    tsa = simplicial_koszul(R, [x, y * y], 3)
+    cx = normalize(SimplicialModule(tsa, ("power", 0), 6), "quotient")
+    assert (0, 0) in cx.dims and (1, 1) in cx.dims and (1, 2) in cx.dims
+    for n, j in list(cx.dims) + list(cx.mats):
+        assert type(n) is int and type(j) is int
+
+
+@st.composite
+def _koszul_inputs(draw):
+    """A ring in at most 2 variables and 1-2 monomials of degree 1-2."""
+    R = draw(small_rings(max_vars=2))
+    monos = [m for d in (1, 2) for m in monomials_of_degree(R.embdim, d)]
+    picks = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=2))
+    return R, [R.ambient.monomial(m) for m in picks]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_koszul_inputs())
+def test_quotient_route_is_classical_koszul_homology(case):
+    R, seq = case
+    L, D = 3, 6
+    module = SimplicialModule(simplicial_koszul(R, seq, L), ("power", 0), D)
+    simp = normalize(module, "quotient").homology()
+    clas = homology_dims(koszul(R, seq).complex, D).entries
+    assert simp == {k: d for k, d in clas.items() if k[0] < L}
 
 
 def test_pi_zero_of_koszul_is_quotient_strand_dims():
